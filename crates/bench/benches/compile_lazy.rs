@@ -39,7 +39,7 @@ fn bench(c: &mut Criterion) {
         });
         c.bench_function(&format!("compile_lazy/{dims}d_lazy_first_band"), |b| {
             b.iter(|| {
-                let lazy = LazyEss::begin(&w.catalog, &w.query, CostModel::default(), cfg).unwrap();
+                let lazy = LazyEss::begin(&opt, cfg).unwrap();
                 lazy.compile_through(0);
                 black_box(lazy.band_cells(0).len())
             })
@@ -55,10 +55,10 @@ fn bench(c: &mut Criterion) {
         Ess::compile(&opt4, cfg4).unwrap();
     });
     let lazy_s = median_secs(reps, || {
-        let lazy = LazyEss::begin(&w4.catalog, &w4.query, CostModel::default(), cfg4).unwrap();
+        let lazy = LazyEss::begin(&opt4, cfg4).unwrap();
         lazy.compile_through(0);
     });
-    let probe = LazyEss::begin(&w4.catalog, &w4.query, CostModel::default(), cfg4).unwrap();
+    let probe = LazyEss::begin(&opt4, cfg4).unwrap();
     probe.compile_through(0);
     let (bands_first, bands_total) = (probe.bands_compiled(), probe.num_bands());
 

@@ -1,15 +1,15 @@
 //! The shared runtime every robust algorithm executes against.
 
 use rqp_catalog::{Catalog, Estimator, Query, RqpError, RqpResult, SelVector};
-use rqp_ess::{Cell, CompileCache, Ess, EssConfig, Grid, LazyEss, LazyStart, PlanId};
+use rqp_ess::{Cell, Ess, EssConfig, Grid, LazyEss, PlanId};
 use rqp_executor::Engine;
 use rqp_optimizer::Optimizer;
 use rqp_qplan::{CostModel, PlanNode};
 use std::sync::Arc;
 
 /// The compiled selectivity surface a runtime executes against: either a
-/// finished [`Ess`] (eager compile, the pre-lazy behaviour) or a
-/// [`LazyEss`] that materializes contour bands on demand. Discovery
+/// finished [`Ess`] (read without any lock) or a [`LazyEss`] that
+/// materializes contour bands on demand behind its frontier mutex. Discovery
 /// algorithms only talk to the [`RobustRuntime`] facade, so they pull
 /// bands as the doubling walk reaches them — a discovery that terminates
 /// on contour `k` never pays for compiling bands above `k`.
@@ -78,21 +78,6 @@ impl<'a> RobustRuntime<'a> {
         })
     }
 
-    /// Like [`RobustRuntime::compile`], but consulting an explicit
-    /// per-instance persistent [`CompileCache`] instead of the process
-    /// global (multi-tenant embedders thread their own cache policy).
-    pub fn compile_with_cache(
-        catalog: &'a Catalog,
-        query: &'a Query,
-        model: CostModel,
-        config: EssConfig,
-        cache: Option<&CompileCache>,
-    ) -> RqpResult<Self> {
-        Self::admit(catalog, query, model, |optimizer| {
-            Ok(Surface::Eager(Arc::new(Ess::compile_cached(optimizer, config, cache)?)))
-        })
-    }
-
     /// Admit the query against a *lazy anytime* surface: only the ladder
     /// anchors (origin and terminus) are costed now; each contour band is
     /// flooded the first time the discovery walk, an oracle peek, or a
@@ -103,27 +88,8 @@ impl<'a> RobustRuntime<'a> {
         model: CostModel,
         config: EssConfig,
     ) -> RqpResult<Self> {
-        Self::admit(catalog, query, model, |_| {
-            Ok(Surface::Lazy(LazyEss::begin(catalog, query, model, config)?))
-        })
-    }
-
-    /// Like [`RobustRuntime::compile_lazy`], but consulting a persistent
-    /// [`CompileCache`] first: a full snapshot hit admits an eager surface
-    /// outright, a partial snapshot warm-starts the lazy frontier at the
-    /// stored band cursor.
-    pub fn compile_lazy_cached(
-        catalog: &'a Catalog,
-        query: &'a Query,
-        model: CostModel,
-        config: EssConfig,
-        cache: Option<&CompileCache>,
-    ) -> RqpResult<Self> {
-        Self::admit(catalog, query, model, |_| {
-            Ok(match LazyEss::begin_cached(catalog, query, model, config, cache)? {
-                LazyStart::Full(ess) => Surface::Eager(ess),
-                LazyStart::Lazy(lazy) => Surface::Lazy(lazy),
-            })
+        Self::admit(catalog, query, model, |optimizer| {
+            Ok(Surface::Lazy(LazyEss::begin(optimizer, config)?))
         })
     }
 

@@ -89,8 +89,7 @@ pub fn anorexic_reduce(posp: &Posp, optimizer: &Optimizer<'_>, lambda: f64) -> R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::Grid;
-    use crate::posp::Posp;
+    use crate::posp::{compile, CompileMode};
     use rqp_catalog::{Catalog, CatalogBuilder, Query, QueryBuilder, RelationBuilder};
     use rqp_qplan::CostModel;
 
@@ -130,7 +129,7 @@ mod tests {
     fn reduction_shrinks_plan_count_and_respects_lambda() {
         let (catalog, query) = fixture();
         let opt = Optimizer::new(&catalog, &query, CostModel::default());
-        let posp = Posp::compile(&opt, Grid::uniform(2, 12, 1e-6).unwrap());
+        let posp = compile(&opt, 12, 1e-6, CompileMode::Exact);
         let before = posp.num_plans();
         let reduced = anorexic_reduce(&posp, &opt, 0.2);
         assert!(reduced.num_plans <= before);
@@ -150,7 +149,7 @@ mod tests {
     fn zero_lambda_keeps_costs_optimal() {
         let (catalog, query) = fixture();
         let opt = Optimizer::new(&catalog, &query, CostModel::default());
-        let posp = Posp::compile(&opt, Grid::uniform(2, 8, 1e-5).unwrap());
+        let posp = compile(&opt, 8, 1e-5, CompileMode::Exact);
         let reduced = anorexic_reduce(&posp, &opt, 0.0);
         for cell in posp.grid().cells() {
             let c = posp.cost_of_plan_at(&opt, reduced.cell_plan[cell], cell);
@@ -162,7 +161,7 @@ mod tests {
     fn larger_lambda_reduces_at_least_as_much() {
         let (catalog, query) = fixture();
         let opt = Optimizer::new(&catalog, &query, CostModel::default());
-        let posp = Posp::compile(&opt, Grid::uniform(2, 10, 1e-6).unwrap());
+        let posp = compile(&opt, 10, 1e-6, CompileMode::Exact);
         let r_small = anorexic_reduce(&posp, &opt, 0.05);
         let r_big = anorexic_reduce(&posp, &opt, 1.0);
         assert!(r_big.num_plans <= r_small.num_plans);

@@ -181,48 +181,6 @@ impl CompileCache {
             RqpError::Config(format!("cannot write cache entry {}: {e}", path.display()))
         })
     }
-
-    fn partial_path_for(&self, fp: u64) -> PathBuf {
-        self.dir.join(format!("posp-{fp:016x}.partial.rqpc"))
-    }
-
-    /// Load the partially-compiled surface stored under `fp`, if present
-    /// and valid. Same integrity regime as [`CompileCache::load`]:
-    /// checksum-first, fingerprint match, quarantine on any failure.
-    pub fn load_partial(&self, fp: u64) -> Option<crate::lazy::PartialSurface> {
-        let path = self.partial_path_for(fp);
-        let text = std::fs::read_to_string(&path).ok()?;
-        match codec::decode_partial(&text, fp) {
-            Ok(partial) => Some(partial),
-            Err(e) => {
-                self.quarantine(&path, &e);
-                None
-            }
-        }
-    }
-
-    /// Persist a partially-compiled surface under `fp` so a later process
-    /// can warm-start ([`crate::LazyEss::resume`]) instead of re-flooding
-    /// the bands below the stored cursor. A partial entry lives beside the
-    /// full snapshot (different suffix), never in place of it.
-    ///
-    /// # Errors
-    /// Returns [`RqpError::Config`] if the entry cannot be written.
-    pub fn store_partial(&self, fp: u64, partial: &crate::lazy::PartialSurface) -> RqpResult<()> {
-        let text = codec::encode_partial(partial, fp);
-        let tmp = self.dir.join(format!("posp-{fp:016x}.partial.tmp"));
-        let path = self.partial_path_for(fp);
-        std::fs::write(&tmp, text).and_then(|()| std::fs::rename(&tmp, &path)).map_err(|e| {
-            RqpError::Config(format!("cannot write partial cache entry {}: {e}", path.display()))
-        })
-    }
-
-    /// Drop the partial entry for `fp`, if any (used once the finished
-    /// snapshot supersedes it).
-    pub fn evict_partial(&self, fp: u64) {
-        // rqp-lint: allow(swallowed-result): eviction is advisory; a stale partial is harmless and re-validated on load
-        let _ = std::fs::remove_file(self.partial_path_for(fp));
-    }
 }
 
 static GLOBAL_CACHE: RwLock<Option<CompileCache>> = RwLock::new(None);
@@ -395,155 +353,6 @@ mod codec {
         s.push_str("end\n");
         let _ = writeln!(s, "checksum {:016x}", payload_checksum(&s));
         s
-    }
-
-    const PARTIAL_MAGIC: &str = "rqp-posp-partial";
-    const PARTIAL_VERSION: &str = "v1";
-
-    /// Encode a partially-compiled surface. Same discipline as [`encode`]:
-    /// floats as IEEE-754 bit patterns (resumed compiles must see the
-    /// exact costs the original computed), trailing payload checksum.
-    pub(super) fn encode_partial(partial: &crate::lazy::PartialSurface, fp: u64) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{PARTIAL_MAGIC} {PARTIAL_VERSION}");
-        let _ = writeln!(s, "fingerprint {fp:016x}");
-        let _ = writeln!(s, "dims {}", partial.grid.dims());
-        for d in 0..partial.grid.dims() {
-            let _ = write!(s, "axis {}", partial.grid.res(d));
-            for i in 0..partial.grid.res(d) {
-                let _ = write!(s, " {:016x}", partial.grid.value(d, i).to_bits());
-            }
-            s.push('\n');
-        }
-        let _ = writeln!(s, "ratio {:016x}", partial.ratio.to_bits());
-        let _ = writeln!(s, "cmin {:016x}", partial.cmin.to_bits());
-        let _ = writeln!(s, "cmax {:016x}", partial.cmax.to_bits());
-        let _ = writeln!(s, "plans {}", partial.plans.len());
-        for p in &partial.plans {
-            s.push_str("plan");
-            encode_plan(p, &mut s);
-            s.push('\n');
-        }
-        let _ = writeln!(s, "compiled_through {}", partial.compiled_through);
-        let _ = writeln!(s, "bands {}", partial.bands.len());
-        for band in &partial.bands {
-            let _ = write!(s, "band {}", band.len());
-            for &(cell, idx, cost) in band {
-                let _ = write!(s, " {cell} {idx} {:016x}", cost.to_bits());
-            }
-            s.push('\n');
-        }
-        let _ = write!(s, "parked {}", partial.parked.len());
-        for &(cell, band, idx, cost) in &partial.parked {
-            let _ = write!(s, " {cell} {band} {idx} {:016x}", cost.to_bits());
-        }
-        s.push('\n');
-        s.push_str("end\n");
-        let _ = writeln!(s, "checksum {:016x}", payload_checksum(&s));
-        s
-    }
-
-    /// Inverse of [`encode_partial`], with the same checksum-first,
-    /// fingerprint-second validation order as [`decode`]. Structural
-    /// consistency against a live configuration (grid match, band ranges,
-    /// duplicate cells) is re-checked by [`crate::LazyEss::resume`].
-    pub(super) fn decode_partial(
-        text: &str,
-        expected_fp: u64,
-    ) -> RqpResult<crate::lazy::PartialSurface> {
-        let (payload, sum_line) =
-            text.rsplit_once("checksum").ok_or_else(|| bad("missing checksum line"))?;
-        let sum_tok = sum_line.trim();
-        let recorded = u64::from_str_radix(sum_tok, 16)
-            .map_err(|_| bad(format!("bad checksum {sum_tok:?}")))?;
-        let actual = payload_checksum(payload);
-        if recorded != actual {
-            return Err(bad(format!(
-                "checksum mismatch: recorded {recorded:016x}, payload {actual:016x}"
-            )));
-        }
-        let mut t = Toks::new(payload);
-        t.tag(PARTIAL_MAGIC)?;
-        t.tag(PARTIAL_VERSION)?;
-        t.tag("fingerprint")?;
-        let fp_tok = t.next()?;
-        let fp = u64::from_str_radix(fp_tok, 16)
-            .map_err(|_| bad(format!("bad fingerprint {fp_tok:?}")))?;
-        if fp != expected_fp {
-            return Err(bad(format!(
-                "fingerprint mismatch: entry {fp:016x}, wanted {expected_fp:016x}"
-            )));
-        }
-        t.tag("dims")?;
-        let dims = t.len()?;
-        let mut axes = Vec::with_capacity(dims);
-        for _ in 0..dims {
-            t.tag("axis")?;
-            let len = t.len()?;
-            let mut axis = Vec::with_capacity(len);
-            for _ in 0..len {
-                axis.push(t.f64_bits()?);
-            }
-            axes.push(axis);
-        }
-        let grid = Grid::from_axes(axes).map_err(|e| bad(format!("bad grid: {e}")))?;
-        t.tag("ratio")?;
-        let ratio = t.f64_bits()?;
-        t.tag("cmin")?;
-        let cmin = t.f64_bits()?;
-        t.tag("cmax")?;
-        let cmax = t.f64_bits()?;
-        t.tag("plans")?;
-        let n = t.len()?;
-        let mut plans = Vec::with_capacity(n);
-        for _ in 0..n {
-            t.tag("plan")?;
-            plans.push(decode_plan(&mut t)?);
-        }
-        t.tag("compiled_through")?;
-        let compiled_through: i64 = t.num()?;
-        if !(-1..=MAX_LEN as i64).contains(&compiled_through) {
-            return Err(bad(format!("implausible compile cursor {compiled_through}")));
-        }
-        t.tag("bands")?;
-        let n = t.len()?;
-        if n as i64 != compiled_through + 1 {
-            return Err(bad(format!(
-                "{n} stored bands disagree with compile cursor {compiled_through}"
-            )));
-        }
-        let mut bands = Vec::with_capacity(n);
-        for _ in 0..n {
-            t.tag("band")?;
-            let len = t.len()?;
-            let mut band = Vec::with_capacity(len);
-            for _ in 0..len {
-                let cell: usize = t.num()?;
-                let idx: u32 = t.num()?;
-                band.push((cell, idx, t.f64_bits()?));
-            }
-            bands.push(band);
-        }
-        t.tag("parked")?;
-        let len = t.len()?;
-        let mut parked = Vec::with_capacity(len);
-        for _ in 0..len {
-            let cell: usize = t.num()?;
-            let band: u32 = t.num()?;
-            let idx: u32 = t.num()?;
-            parked.push((cell, band, idx, t.f64_bits()?));
-        }
-        t.tag("end")?;
-        Ok(crate::lazy::PartialSurface {
-            grid,
-            ratio,
-            cmin,
-            cmax,
-            plans,
-            compiled_through: compiled_through as isize,
-            bands,
-            parked,
-        })
     }
 
     /// FNV-1a digest of an entry's payload (everything through `end\n`).

@@ -61,10 +61,10 @@ pub(crate) fn band_index(c: f64, cmin: f64, ratio: f64) -> RqpResult<usize> {
     Ok(b)
 }
 
-/// Total variant of [`band_index`] for the lazy compile path: degenerate
-/// costs clamp into the top band `m - 1` (an execution budgeted there is
-/// already charged the worst case) instead of erroring, and regular costs
-/// clamp like the eager build does.
+/// Total variant of [`band_index`] for the band flood: degenerate costs
+/// clamp into the top band `m - 1` (an execution budgeted there is already
+/// charged the worst case) instead of erroring, and regular costs clamp
+/// like [`ContourSet::build`] does.
 pub(crate) fn band_index_clamped(c: f64, cmin: f64, ratio: f64, m: usize) -> usize {
     debug_assert!(m >= 1);
     match band_index(c, cmin, ratio) {
@@ -205,7 +205,7 @@ mod tests {
     fn compiled() -> (Posp, ContourSet) {
         let (catalog, query) = fixture();
         let opt = Optimizer::new(&catalog, &query, CostModel::default());
-        let posp = Posp::compile(&opt, Grid::uniform(2, 12, 1e-6).unwrap());
+        let posp = crate::posp::compile(&opt, 12, 1e-6, crate::posp::CompileMode::Exact);
         let contours = ContourSet::build(&posp, 2.0).unwrap();
         (posp, contours)
     }

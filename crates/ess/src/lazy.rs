@@ -1,29 +1,29 @@
-//! Lazy anytime POSP compilation: contour bands materialize on demand.
+//! POSP compilation: the band flood, eager or anytime.
 //!
-//! The discovery algorithms climb iso-cost contours in budget order and
-//! most runs terminate well below the top band, yet the eager
-//! [`crate::Ess::compile`] pays for the *entire* surface up front. This
-//! module compiles band-by-band instead: [`LazyEss::compile_through`]
-//! floods the grid outward from the origin one cost band at a time, so a
-//! discovery that terminates at contour `k` never invokes the optimizer on
-//! cells above `k`'s boundary layer (the **frontier invariant**: a cell is
-//! costed only when it is a `+1` neighbor of some cell in a band `≤ k`).
+//! The POSP is built by invoking the optimizer at ESS grid locations
+//! (§2.2). This module is the one compiler that does it, and it works
+//! band by band: [`LazyEss::compile_through`] floods the grid outward from
+//! the origin one cost band at a time, so a discovery that terminates at
+//! contour `k` never invokes the optimizer on cells above `k`'s boundary
+//! layer (the **frontier invariant**: a cell is costed only when it is a
+//! `+1` neighbor of some cell in a band `≤ k`). An eager compile
+//! ([`crate::Ess::compile`]) is the same flood run to the last band.
 //!
-//! Parity with the eager compiler is load-bearing, not best-effort:
+//! What makes the result independent of how far and in which order the
+//! flood ran:
 //!
-//! - Per-cell costs are bitwise identical. [`CompileMode::Exact`] runs the
-//!   same DP per cell; recost mode replays the exact seed-lattice protocol
-//!   ([`crate::posp::seed_marks`] / [`crate::posp::seed_box`]), DP'ing seed
-//!   corners on demand and memoizing them, so every cell sees the same
-//!   corner fingerprints and takes the same recost-vs-fallback branch.
+//! - Each cell is costed by a fixed per-cell protocol.
+//!   [`CompileMode::Exact`] runs a full DP; recost mode DPs the corners of
+//!   the cell's seed box (`posp::seed_marks` / `posp::seed_box`) on
+//!   demand, memoizes them, and recosts the agreed plan when all corners
+//!   agree, DP'ing the cell otherwise.
 //! - The band ladder is anchored at the origin and terminus cells — under
-//!   plan-cost monotonicity (PCM, §2.5) exactly the eager `cmin`/`cmax` —
-//!   and band membership uses the same epsilon-settled
-//!   [`crate::contours::band_index`] arithmetic.
-//! - [`LazyEss::finish`] feeds the completed surface through
-//!   [`Posp::assemble`] in cell-index order, reproducing the eager
-//!   first-seen plan-id assignment, so the finished snapshot is
-//!   byte-identical to an eager compile's.
+//!   plan-cost monotonicity (PCM, §2.5) the surface's `cmin`/`cmax` — and
+//!   band membership uses the epsilon-settled `contours::band_index`
+//!   arithmetic.
+//! - Finishing feeds the completed surface through `Posp::assemble` in
+//!   cell-index order, so plan ids are assigned first-seen by cell index
+//!   whatever order the flood discovered the plans in.
 //!
 //! Concurrency: one [`parking_lot::Mutex`] guards the frontier, making
 //! band materialization single-flight — peers that ask for a band already
@@ -42,14 +42,87 @@ use crate::{ContourSet, Ess, EssConfig};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use rqp_catalog::{Catalog, Query, RqpError, RqpResult};
-use rqp_optimizer::Optimizer;
+use rqp_obs::{JsonValue, Stopwatch};
+use rqp_optimizer::{Optimizer, OptimizerConfig};
 use rqp_qplan::{cost_eq, CostModel, Fingerprint, PlanNode};
-use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Sentinel for "not yet banded" in the frontier's `band_of` table.
 const UNBANDED: u32 = u32::MAX;
+
+/// Accumulates one compile phase's total work across parallel workers:
+/// per-cell [`Stopwatch`] readings land in an atomic nanosecond counter,
+/// reported afterwards as one synthetic aggregate span. Summed worker time
+/// can exceed the enclosing span's wall time — it is attribution ("where
+/// did the optimizer calls go"), not a timeline.
+struct PhaseClock {
+    enabled: bool,
+    nanos: AtomicU64,
+    cells: AtomicU64,
+}
+
+impl PhaseClock {
+    fn new(enabled: bool) -> PhaseClock {
+        PhaseClock { enabled, nanos: AtomicU64::new(0), cells: AtomicU64::new(0) }
+    }
+
+    /// Start timing one cell's work (no-op when tracing is disabled).
+    fn cell(&self) -> Option<Stopwatch> {
+        self.enabled.then(Stopwatch::start)
+    }
+
+    fn add(&self, sw: Option<Stopwatch>) {
+        if let Some(sw) = sw {
+            self.nanos.fetch_add(sw.elapsed_nanos(), Ordering::Relaxed);
+            self.cells.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The per-phase clocks of one costing batch (the ladder anchors, or one
+/// band's flood).
+struct Phases {
+    seed_dp: PhaseClock,
+    recost: PhaseClock,
+    fallback_dp: PhaseClock,
+    exact_dp: PhaseClock,
+}
+
+impl Phases {
+    fn new(enabled: bool) -> Phases {
+        Phases {
+            seed_dp: PhaseClock::new(enabled),
+            recost: PhaseClock::new(enabled),
+            fallback_dp: PhaseClock::new(enabled),
+            exact_dp: PhaseClock::new(enabled),
+        }
+    }
+
+    /// Emit every phase that timed work as a synthetic span under the
+    /// current parent.
+    fn report(&self, tracer: &rqp_obs::Tracer) {
+        use rqp_obs::names::{
+            SPAN_POSP_EXACT_DP, SPAN_POSP_FALLBACK_DP, SPAN_POSP_RECOST, SPAN_POSP_SEED_DP,
+        };
+        for (clock, name) in [
+            (&self.seed_dp, SPAN_POSP_SEED_DP),
+            (&self.recost, SPAN_POSP_RECOST),
+            (&self.fallback_dp, SPAN_POSP_FALLBACK_DP),
+            (&self.exact_dp, SPAN_POSP_EXACT_DP),
+        ] {
+            let cells = clock.cells.load(Ordering::Relaxed);
+            if cells > 0 {
+                tracer.record_span(
+                    name,
+                    rqp_obs::SpanKind::CompilePhase,
+                    clock.nanos.load(Ordering::Relaxed) as f64 * 1e-9,
+                    vec![("cells", JsonValue::from(cells))],
+                );
+            }
+        }
+    }
+}
 
 /// Mutable compile state: which cells have been costed, which have been
 /// flooded into a band, and which are parked above the compile cursor.
@@ -71,7 +144,7 @@ struct Frontier {
     /// the cursor to reach them.
     parked: Vec<Cell>,
     /// Plans discovered so far, ids in discovery order (canonicalized to
-    /// the eager first-seen-by-cell order only by [`LazyEss::finish`]).
+    /// first-seen-by-cell order only when the surface is finished).
     registry: PlanRegistry,
     /// Highest fully materialized band; `-1` before the first.
     compiled_through: isize,
@@ -91,55 +164,23 @@ impl Frontier {
     }
 }
 
-/// A partially-compiled surface in storable form: everything the frontier
-/// knows, minus the unbanded seed-corner memo (cheap to recompute and
-/// deterministic, so dropping it cannot change any resumed result).
-#[derive(Debug, Clone)]
-pub struct PartialSurface {
-    /// The grid (must match the resuming configuration's grid).
-    pub grid: Grid,
-    /// Contour ratio of the ladder.
-    pub ratio: f64,
-    /// Ladder anchor: optimal cost at the origin.
-    pub cmin: f64,
-    /// Ladder anchor: optimal cost at the terminus.
-    pub cmax: f64,
-    /// Discovered plans, in lazy-registry id order.
-    pub plans: Vec<PlanNode>,
-    /// Highest fully materialized band (`-1` = none).
-    pub compiled_through: isize,
-    /// Frozen bands `0..=compiled_through`: `(cell, plan index, cost)`.
-    pub bands: Vec<Vec<(Cell, u32, f64)>>,
-    /// Parked cells: `(cell, band, plan index, cost)`.
-    pub parked: Vec<(Cell, u32, u32, f64)>,
-}
-
-/// Outcome of [`LazyEss::begin_cached`]: the persistent cache may already
-/// hold the finished surface, in which case there is nothing to be lazy
-/// about.
-pub enum LazyStart {
-    /// The cache held a complete snapshot; use it eagerly.
-    Full(Arc<Ess>),
-    /// A fresh (or partial-warm-started) lazy surface.
-    Lazy(Arc<LazyEss>),
-}
-
-/// An anytime, band-by-band ESS compiler sharing the eager pipeline's
-/// arithmetic cell for cell. See the module docs for the invariants.
+/// A band-by-band ESS compiler. See the module docs for the invariants.
 pub struct LazyEss {
     catalog: Arc<Catalog>,
     query: Arc<Query>,
     model: CostModel,
-    config: EssConfig,
+    /// Tuning of the optimizer the compile was started with; every cell
+    /// is costed under it.
+    tuning: OptimizerConfig,
     grid: Grid,
     /// Geometric contour ratio.
     ratio: f64,
     cmin: f64,
-    cmax: f64,
     /// Lower band edges `cc[i] = cmin · ratio^i`; `cc.len()` is `m`.
     cc: Vec<f64>,
-    /// `Some(stride)` iff the effective mode is recost (mirrors the
-    /// `seed_stride > 1 && dims <= 8` guard in [`Posp::compile_with`]).
+    /// `Some(stride)` iff the effective mode is recost: the corner test
+    /// enumerates `2^dims` seed-box corners, so past 8 dims (or for a
+    /// stride ≤ 1) the compile degrades to exact.
     stride: Option<usize>,
     /// Seed marks per dimension (empty in exact mode).
     is_seed: Vec<Vec<bool>>,
@@ -152,289 +193,92 @@ pub struct LazyEss {
 }
 
 impl LazyEss {
-    /// Start a lazy compile: builds the grid, DPs only the origin and
-    /// terminus cells (the ladder anchors — both are seed cells in recost
-    /// mode, so their costs match an eager compile bitwise), and parks
-    /// them for the flood.
+    /// Start an anytime compile for the optimizer's query: builds the grid,
+    /// costs only the origin and terminus cells (the ladder anchors) and
+    /// parks them for the flood. Every later cell is costed with the same
+    /// cost model and optimizer tuning as `optimizer`.
     ///
     /// # Errors
     /// Returns [`RqpError::Config`] for a bad contour ratio or a
     /// degenerate anchor cost surface, and propagates grid construction
     /// errors.
-    pub fn begin(
-        catalog: &Catalog,
-        query: &Query,
-        model: CostModel,
-        config: EssConfig,
-    ) -> RqpResult<Arc<LazyEss>> {
-        if !(config.contour_ratio.is_finite() && config.contour_ratio > 1.0) {
-            return Err(RqpError::Config(format!(
-                "contour ratio must exceed 1, got {}",
-                config.contour_ratio
-            )));
-        }
-        let dims = query.dims().max(1);
-        let grid = Grid::uniform(dims, config.resolution, config.min_sel)?;
-        Self::begin_on(catalog, query, model, config, grid)
-    }
-
-    fn begin_on(
-        catalog: &Catalog,
-        query: &Query,
-        model: CostModel,
-        config: EssConfig,
-        grid: Grid,
-    ) -> RqpResult<Arc<LazyEss>> {
-        // The anchor DP is the lazy counterpart of the eager compile span:
-        // it is all the single-flight window covers, so it carries the
-        // same span name (kind Compile) for trace continuity.
+    pub fn begin(optimizer: &Optimizer<'_>, config: EssConfig) -> RqpResult<Arc<LazyEss>> {
+        // The anchor DP is all the single-flight window of an anytime
+        // compile covers, so it carries the compile span name (kind
+        // Compile) for trace continuity with a full compile.
         let mut compile_span =
             rqp_obs::current().span(rqp_obs::names::SPAN_ESS_COMPILE, rqp_obs::SpanKind::Compile);
-        compile_span.attr("query", query.name.as_str());
+        compile_span.attr("query", optimizer.query().name.as_str());
         compile_span.attr("lazy", "anchors");
+        let lazy = LazyEss::start(optimizer, config)?;
+        compile_span.attr("grid_cells", lazy.grid.num_cells() as u64);
+        compile_span.attr("contour_bands", lazy.num_bands() as u64);
+        Ok(Arc::new(lazy))
+    }
+
+    /// [`LazyEss::begin`] without the compile span, for callers that
+    /// already hold one.
+    pub(crate) fn start(optimizer: &Optimizer<'_>, config: EssConfig) -> RqpResult<LazyEss> {
+        let dims = optimizer.query().dims().max(1);
+        let grid = Grid::uniform(dims, config.resolution, config.min_sel)?;
         let ratio = config.contour_ratio;
+        if !(ratio.is_finite() && ratio > 1.0) {
+            return Err(RqpError::Config(format!("contour ratio must exceed 1, got {ratio}")));
+        }
         let stride = match config.mode {
-            CompileMode::Recost { seed_stride } if seed_stride > 1 && grid.dims() <= 8 => {
+            CompileMode::Recost { seed_stride } if seed_stride > 1 && dims <= 8 => {
                 Some(seed_stride)
             }
             _ => None,
         };
         let is_seed = stride.map(|s| seed_marks(&grid, s)).unwrap_or_default();
+        let mut this = LazyEss {
+            catalog: Arc::new(optimizer.catalog().clone()),
+            query: Arc::new(optimizer.query().clone()),
+            model: optimizer.model(),
+            tuning: optimizer.config(),
+            grid,
+            ratio,
+            cmin: f64::NAN,
+            cc: Vec::new(),
+            stride,
+            is_seed,
+            state: Mutex::new(Frontier::new(0)),
+            finished: OnceLock::new(),
+            prefetch_hi: AtomicUsize::new(0),
+        };
 
-        let opt = Optimizer::new(catalog, query, model);
-        let mut st = Frontier::new(grid.num_cells());
-        let anchors = [grid.origin(), grid.terminus()];
-        for &cell in &anchors {
-            if st.slot[cell].is_none() {
-                let planned = opt.optimize(&grid.location(cell));
-                let fp = Fingerprint::of(&planned.plan);
-                st.registry.insert(planned.plan);
-                st.slot[cell] = Some((fp, planned.cost));
-            }
-        }
-        let cmin = st.slot[grid.origin()].map(|(_, c)| c).unwrap_or(f64::NAN);
-        let cmax = st.slot[grid.terminus()].map(|(_, c)| c).unwrap_or(f64::NAN);
+        let mut st = Frontier::new(this.grid.num_cells());
+        let mut anchors = vec![this.grid.origin(), this.grid.terminus()];
+        anchors.dedup();
+        let tracer = rqp_obs::current();
+        let phases = Phases::new(tracer.is_enabled());
+        this.cost_cells(&mut st, optimizer, &anchors, &phases);
+        phases.report(&tracer);
+        let cmin = st.slot[this.grid.origin()].map_or(f64::NAN, |(_, c)| c);
+        let cmax = st.slot[this.grid.terminus()].map_or(f64::NAN, |(_, c)| c);
         if !(cmin > 0.0 && cmin.is_finite() && cmax.is_finite()) {
             return Err(RqpError::Config(format!(
                 "degenerate optimal cost surface: cmin {cmin}, cmax {cmax}"
             )));
         }
         let m = band_index(cmax, cmin, ratio)? + 1;
-        let cc: Vec<f64> = (0..m).map(|i| cmin * ratio.powi(i as i32)).collect();
         for &cell in &anchors {
-            if !st.visited[cell] {
-                let cost = st.slot[cell].map(|(_, c)| c).unwrap_or(f64::NAN);
-                st.visited[cell] = true;
-                st.band_of[cell] = band_index_clamped(cost, cmin, ratio, m) as u32;
-                st.parked.push(cell);
-            }
+            let cost = st.slot[cell].map_or(f64::NAN, |(_, c)| c);
+            st.visited[cell] = true;
+            st.band_of[cell] = band_index_clamped(cost, cmin, ratio, m) as u32;
+            st.parked.push(cell);
         }
-
-        compile_span.attr("grid_cells", grid.num_cells() as u64);
-        compile_span.attr("contour_bands", m as u64);
-        drop(compile_span);
-
-        Ok(Arc::new(LazyEss {
-            catalog: Arc::new(catalog.clone()),
-            query: Arc::new(query.clone()),
-            model,
-            config,
-            grid,
-            ratio,
-            cmin,
-            cmax,
-            cc,
-            stride,
-            is_seed,
-            state: Mutex::new(st),
-            finished: OnceLock::new(),
-            prefetch_hi: AtomicUsize::new(0),
-        }))
-    }
-
-    /// Like [`LazyEss::begin`], but consults a persistent cache first: a
-    /// complete snapshot short-circuits to an eager surface, a partial
-    /// snapshot warm-starts the frontier, and anything else begins cold.
-    ///
-    /// # Errors
-    /// Propagates [`LazyEss::begin`] errors; unusable cache entries are
-    /// treated as misses, never as failures.
-    pub fn begin_cached(
-        catalog: &Catalog,
-        query: &Query,
-        model: CostModel,
-        config: EssConfig,
-        cache: Option<&crate::CompileCache>,
-    ) -> RqpResult<LazyStart> {
-        if let Some(cache) = cache {
-            let fp = crate::compile_fingerprint(catalog, query, &model, &config);
-            if let Some(ess) = cache.load(fp).and_then(|snap| snap.restore().ok()) {
-                crate::obs::metrics().cache_hits.inc();
-                return Ok(LazyStart::Full(Arc::new(ess)));
-            }
-            if let Some(partial) = cache.load_partial(fp) {
-                if let Ok(lazy) = LazyEss::resume(catalog, query, model, config, partial) {
-                    crate::obs::metrics().cache_hits.inc();
-                    return Ok(LazyStart::Lazy(lazy));
-                }
-            }
-            crate::obs::metrics().cache_misses.inc();
-        }
-        Ok(LazyStart::Lazy(LazyEss::begin(catalog, query, model, config)?))
-    }
-
-    /// Rehydrate a lazy compile from a stored [`PartialSurface`], resuming
-    /// exactly where [`LazyEss::partial`] captured it. Resumed compilation
-    /// is deterministic, so finishing a resumed surface produces the same
-    /// bytes as finishing the original (or compiling eagerly).
-    ///
-    /// # Errors
-    /// Returns [`RqpError::Snapshot`] if the partial disagrees with the
-    /// configuration's grid or is internally inconsistent.
-    pub fn resume(
-        catalog: &Catalog,
-        query: &Query,
-        model: CostModel,
-        config: EssConfig,
-        partial: PartialSurface,
-    ) -> RqpResult<Arc<LazyEss>> {
-        let bad = |msg: String| RqpError::Snapshot(format!("partial surface: {msg}"));
-        let dims = query.dims().max(1);
-        let grid = Grid::uniform(dims, config.resolution, config.min_sel)?;
-        if partial.grid != grid {
-            return Err(bad("grid does not match the resuming configuration".into()));
-        }
-        if !cost_eq(partial.ratio, config.contour_ratio) {
-            return Err(bad(format!(
-                "contour ratio {} does not match configured {}",
-                partial.ratio, config.contour_ratio
-            )));
-        }
-        let this = Self::begin_on(catalog, query, model, config, grid)?;
-        {
-            let mut st = this.state.lock();
-            // the anchors must agree bitwise, or the stored ladder is for a
-            // different surface than this catalog/query/model produces
-            if partial.cmin.to_bits() != this.cmin.to_bits()
-                || partial.cmax.to_bits() != this.cmax.to_bits()
-            {
-                return Err(bad("ladder anchors disagree with a fresh compile".into()));
-            }
-            let m = this.cc.len();
-            if partial.compiled_through >= m as isize
-                || partial.bands.len() as isize != partial.compiled_through + 1
-            {
-                return Err(bad(format!(
-                    "compiled_through {} inconsistent with {} stored bands (ladder m {m})",
-                    partial.compiled_through,
-                    partial.bands.len()
-                )));
-            }
-            // wipe the cold-start parking and replay the stored frontier
-            *st = Frontier::new(this.grid.num_cells());
-            for plan in &partial.plans {
-                st.registry.insert(plan.clone());
-            }
-            if st.registry.len() != partial.plans.len() {
-                return Err(bad("duplicate plans in stored registry".into()));
-            }
-            let fp_of = |idx: u32| -> RqpResult<Fingerprint> {
-                partial
-                    .plans
-                    .get(idx as usize)
-                    .map(Fingerprint::of)
-                    .ok_or_else(|| bad(format!("plan index {idx} out of range")))
-            };
-            let admit =
-                |st: &mut Frontier, cell: Cell, band: u32, idx: u32, cost: f64| -> RqpResult<()> {
-                    if cell >= this.grid.num_cells() || band as usize >= m {
-                        return Err(bad(format!("cell {cell} / band {band} out of range")));
-                    }
-                    if st.visited[cell] {
-                        return Err(bad(format!("cell {cell} recorded twice")));
-                    }
-                    if !(cost.is_finite() && cost > 0.0) && (band as usize) < m - 1 {
-                        return Err(bad(format!("cell {cell} has degenerate cost {cost}")));
-                    }
-                    st.slot[cell] = Some((fp_of(idx)?, cost));
-                    st.visited[cell] = true;
-                    st.band_of[cell] = band;
-                    Ok(())
-                };
-            for (b, members) in partial.bands.iter().enumerate() {
-                let mut frozen = Vec::with_capacity(members.len());
-                for &(cell, idx, cost) in members {
-                    admit(&mut st, cell, b as u32, idx, cost)?;
-                    frozen.push(cell);
-                }
-                frozen.sort_unstable();
-                st.bands.push(Arc::new(frozen));
-            }
-            for &(cell, band, idx, cost) in &partial.parked {
-                if (band as isize) <= partial.compiled_through {
-                    return Err(bad(format!("parked cell {cell} below the compile cursor")));
-                }
-                admit(&mut st, cell, band, idx, cost)?;
-                st.parked.push(cell);
-            }
-            st.compiled_through = partial.compiled_through;
-        }
+        this.cmin = cmin;
+        this.cc = (0..m).map(|i| cmin * ratio.powi(i as i32)).collect();
+        this.state = Mutex::new(st);
         Ok(this)
     }
 
-    /// Persist the current frontier into `cache` under this surface's
-    /// compile fingerprint, so a later process can [`LazyEss::resume`].
-    ///
-    /// # Errors
-    /// Returns [`RqpError::Config`] if the entry cannot be written.
-    pub fn checkpoint(&self, cache: &crate::CompileCache) -> RqpResult<()> {
-        let fp = crate::compile_fingerprint(&self.catalog, &self.query, &self.model, &self.config);
-        cache.store_partial(fp, &self.partial())?;
-        crate::obs::metrics().cache_stores.inc();
-        Ok(())
-    }
-
-    /// Capture the current frontier as a storable [`PartialSurface`].
-    pub fn partial(&self) -> PartialSurface {
-        let st = self.state.lock();
-        let plans: Vec<PlanNode> = st.registry.iter().map(|(_, p)| (**p).clone()).collect();
-        let record = |cell: Cell| -> (u32, f64) {
-            match st.slot[cell] {
-                Some((fp, cost)) => (st.registry.get(fp).map(|id| id.0).unwrap_or(0), cost),
-                // unreachable: visited cells are always costed
-                None => (0, f64::NAN),
-            }
-        };
-        let bands: Vec<Vec<(Cell, u32, f64)>> = st
-            .bands
-            .iter()
-            .map(|band| {
-                band.iter()
-                    .map(|&cell| {
-                        let (idx, cost) = record(cell);
-                        (cell, idx, cost)
-                    })
-                    .collect()
-            })
-            .collect();
-        let parked: Vec<(Cell, u32, u32, f64)> = st
-            .parked
-            .iter()
-            .map(|&cell| {
-                let (idx, cost) = record(cell);
-                (cell, st.band_of[cell], idx, cost)
-            })
-            .collect();
-        PartialSurface {
-            grid: self.grid.clone(),
-            ratio: self.ratio,
-            cmin: self.cmin,
-            cmax: self.cmax,
-            plans,
-            compiled_through: st.compiled_through,
-            bands,
-            parked,
-        }
+    /// An optimizer over this surface's query, tuned like the one the
+    /// compile started with.
+    fn optimizer(&self) -> Optimizer<'_> {
+        Optimizer::with_config(&self.catalog, &self.query, self.model, self.tuning)
     }
 
     /// The grid (fully known up front — laziness is per band, not per axis).
@@ -457,11 +301,6 @@ impl LazyEss {
         self.ratio
     }
 
-    /// The configuration this surface compiles under.
-    pub fn config(&self) -> EssConfig {
-        self.config
-    }
-
     /// Number of bands materialized so far.
     pub fn bands_compiled(&self) -> usize {
         (self.state.lock().compiled_through + 1) as usize
@@ -482,39 +321,44 @@ impl LazyEss {
     /// ladder). Single-flight: concurrent callers serialize on the
     /// frontier lock and whoever arrives second finds the bands done.
     pub fn compile_through(&self, band: usize) {
+        self.compile_through_with(band, &self.optimizer());
+    }
+
+    /// [`LazyEss::compile_through`], costing cells with `opt` (which must
+    /// plan this surface's query under its cost model and tuning).
+    fn compile_through_with(&self, band: usize, opt: &Optimizer<'_>) {
         let target = band.min(self.num_bands() - 1) as isize;
         let mut st = self.state.lock();
         if st.compiled_through >= target {
             return;
         }
-        let opt = Optimizer::new(&self.catalog, &self.query, self.model);
         let tracer = rqp_obs::current();
         while st.compiled_through < target {
             let k = (st.compiled_through + 1) as usize;
-            let sw = rqp_obs::Stopwatch::start();
-            let members = self.flood_band(&mut st, &opt, k);
-            let cells = members.len();
+            let mut span =
+                tracer.span(rqp_obs::names::SPAN_ESS_BAND_COMPILE, rqp_obs::SpanKind::CompilePhase);
+            span.attr("band", k as u64);
+            let phases = Phases::new(tracer.is_enabled());
+            let members = self.flood_band(&mut st, opt, k, &phases);
+            phases.report(&tracer);
+            span.attr("cells", members.len() as u64);
+            drop(span);
             st.bands.push(Arc::new(members));
             st.compiled_through = k as isize;
             crate::obs::metrics().bands_compiled.inc();
-            if tracer.is_enabled() {
-                tracer.record_span(
-                    rqp_obs::names::SPAN_ESS_BAND_COMPILE,
-                    rqp_obs::SpanKind::CompilePhase,
-                    sw.elapsed_secs(),
-                    vec![
-                        ("band", rqp_obs::JsonValue::from(k as u64)),
-                        ("cells", rqp_obs::JsonValue::from(cells as u64)),
-                    ],
-                );
-            }
         }
     }
 
     /// Flood band `k`: expand parked band-`k` cells, costing `+1`
     /// neighbors; neighbors landing in band `k` join the wave, higher
     /// bands park. Returns `k`'s members ascending by cell index.
-    fn flood_band(&self, st: &mut Frontier, opt: &Optimizer<'_>, k: usize) -> Vec<Cell> {
+    fn flood_band(
+        &self,
+        st: &mut Frontier,
+        opt: &Optimizer<'_>,
+        k: usize,
+        phases: &Phases,
+    ) -> Vec<Cell> {
         let grid = &self.grid;
         let dims = grid.dims();
         let m = self.num_bands();
@@ -531,9 +375,10 @@ impl LazyEss {
         st.parked = still_parked;
 
         let mut coords = vec![0usize; dims];
+        let mut fresh: Vec<Cell> = Vec::new();
         while !wave.is_empty() {
             members.extend_from_slice(&wave);
-            let mut fresh: BTreeSet<Cell> = BTreeSet::new();
+            fresh.clear();
             for &c in &wave {
                 grid.coords_into(c, &mut coords);
                 for d in 0..dims {
@@ -542,16 +387,17 @@ impl LazyEss {
                         let n = grid.index(&coords);
                         coords[d] -= 1;
                         if !st.visited[n] {
-                            fresh.insert(n);
+                            fresh.push(n);
                         }
                     }
                 }
             }
-            let fresh: Vec<Cell> = fresh.into_iter().collect();
-            self.cost_cells(st, opt, &fresh);
-            let mut next = Vec::new();
-            for n in fresh {
-                let cost = st.slot[n].map(|(_, c)| c).unwrap_or(f64::NAN);
+            fresh.sort_unstable();
+            fresh.dedup();
+            self.cost_cells(st, opt, &fresh, phases);
+            wave.clear();
+            for &n in &fresh {
+                let cost = st.slot[n].map_or(f64::NAN, |(_, c)| c);
                 let mut b = band_index_clamped(cost, self.cmin, self.ratio, m);
                 if b < k {
                     // only reachable when PCM is violated at a band edge by
@@ -566,60 +412,53 @@ impl LazyEss {
                 st.visited[n] = true;
                 st.band_of[n] = b as u32;
                 if b == k {
-                    next.push(n);
+                    wave.push(n);
                 } else {
                     st.parked.push(n);
                 }
             }
-            wave = next;
         }
         members.sort_unstable();
         members
     }
 
-    /// Cost every not-yet-costed cell in `cells`, replicating the eager
-    /// per-cell protocol of the effective compile mode.
-    fn cost_cells(&self, st: &mut Frontier, opt: &Optimizer<'_>, cells: &[Cell]) {
+    /// Cost every not-yet-costed cell in `cells` (ascending, distinct) by
+    /// the per-cell protocol of the effective compile mode.
+    fn cost_cells(&self, st: &mut Frontier, opt: &Optimizer<'_>, cells: &[Cell], phases: &Phases) {
         let grid = &self.grid;
         match self.stride {
             None => {
                 let jobs: Vec<Cell> =
                     cells.iter().copied().filter(|&c| st.slot[c].is_none()).collect();
-                let done: Vec<(Cell, Fingerprint, PlanNode, f64)> = jobs
+                let registry = &st.registry;
+                let done: Vec<Costed> = jobs
                     .into_par_iter()
-                    .map(|cell| {
-                        let planned = opt.optimize(&grid.location(cell));
-                        let fp = Fingerprint::of(&planned.plan);
-                        (cell, fp, planned.plan, planned.cost)
-                    })
+                    .map(|cell| dp_cell(opt, grid, registry, cell, &phases.exact_dp))
                     .collect();
-                for (cell, fp, plan, cost) in done {
-                    if st.registry.get(fp).is_some() {
-                        crate::obs::metrics().memo_hits.inc();
-                    }
-                    st.registry.insert(plan);
-                    st.slot[cell] = Some((fp, cost));
+                for costed in done {
+                    record(st, costed);
                 }
             }
-            Some(stride) => self.cost_cells_recost(st, opt, cells, stride),
+            Some(stride) => self.cost_cells_recost(st, opt, cells, stride, phases),
         }
     }
 
     /// Recost-mode costing: DP any needed seed cells first (the cells
     /// themselves when on the sublattice, plus the seed-box corners of
-    /// those that are not), then fill non-seed cells by corner agreement
-    /// exactly as [`crate::posp`]'s eager pass does.
+    /// those that are not), then fill non-seed cells by corner agreement:
+    /// recost the agreed plan, or DP the cell when the corners disagree.
     fn cost_cells_recost(
         &self,
         st: &mut Frontier,
         opt: &Optimizer<'_>,
         cells: &[Cell],
         stride: usize,
+        phases: &Phases,
     ) {
         let grid = &self.grid;
         let dims = grid.dims();
         let metrics = crate::obs::metrics();
-        let mut seed_jobs: BTreeSet<Cell> = BTreeSet::new();
+        let mut seed_jobs: Vec<Cell> = Vec::new();
         let mut fill_jobs: Vec<Cell> = Vec::new();
         let mut lo = vec![0usize; dims];
         let mut hi = vec![0usize; dims];
@@ -629,7 +468,7 @@ impl LazyEss {
                 continue;
             }
             if is_seed_cell(grid, &self.is_seed, cell) {
-                seed_jobs.insert(cell);
+                seed_jobs.push(cell);
                 continue;
             }
             fill_jobs.push(cell);
@@ -640,32 +479,26 @@ impl LazyEss {
                 }
                 let corner = grid.index(&coords);
                 if st.slot[corner].is_none() {
-                    seed_jobs.insert(corner);
+                    seed_jobs.push(corner);
                 }
             }
         }
+        seed_jobs.sort_unstable();
+        seed_jobs.dedup();
 
-        let seed_jobs: Vec<Cell> = seed_jobs.into_iter().collect();
         metrics.seed_cells.add(seed_jobs.len() as u64);
-        let seeded: Vec<(Cell, Fingerprint, PlanNode, f64)> = seed_jobs
+        let registry = &st.registry;
+        let seeded: Vec<Costed> = seed_jobs
             .into_par_iter()
-            .map(|cell| {
-                let planned = opt.optimize(&grid.location(cell));
-                let fp = Fingerprint::of(&planned.plan);
-                (cell, fp, planned.plan, planned.cost)
-            })
+            .map(|cell| dp_cell(opt, grid, registry, cell, &phases.seed_dp))
             .collect();
-        for (cell, fp, plan, cost) in seeded {
-            if st.registry.get(fp).is_some() {
-                metrics.memo_hits.inc();
-            }
-            st.registry.insert(plan);
-            st.slot[cell] = Some((fp, cost));
+        for costed in seeded {
+            record(st, costed);
         }
 
         // fill pass: corners are all costed now; read-only over the memo
         let (slot, registry) = (&st.slot, &st.registry);
-        let filled: Vec<(Cell, Fingerprint, Option<PlanNode>, f64, bool)> = fill_jobs
+        let filled: Vec<Costed> = fill_jobs
             .par_iter()
             .map(|&cell| {
                 let mut lo = vec![0usize; dims];
@@ -689,28 +522,19 @@ impl LazyEss {
                 }
                 if let (true, Some(first)) = (agree, agreed) {
                     if let Some(id) = registry.get(first) {
+                        metrics.recost_cells.inc();
+                        let sw = phases.recost.cell();
                         let cost = opt.cost_of(registry.plan(id), &grid.location(cell));
-                        return (cell, first, None, cost, true);
+                        phases.recost.add(sw);
+                        return (cell, first, None, cost);
                     }
                 }
-                let planned = opt.optimize(&grid.location(cell));
-                let fp = Fingerprint::of(&planned.plan);
-                (cell, fp, Some(planned.plan), planned.cost, false)
+                metrics.recost_fallback_cells.inc();
+                dp_cell(opt, grid, registry, cell, &phases.fallback_dp)
             })
             .collect();
-        for (cell, fp, plan, cost, recosted) in filled {
-            if recosted {
-                metrics.recost_cells.inc();
-            } else {
-                metrics.recost_fallback_cells.inc();
-                if st.registry.get(fp).is_some() {
-                    metrics.memo_hits.inc();
-                }
-                if let Some(plan) = plan {
-                    st.registry.insert(plan);
-                }
-            }
-            st.slot[cell] = Some((fp, cost));
+        for costed in filled {
+            record(st, costed);
         }
     }
 
@@ -719,8 +543,7 @@ impl LazyEss {
     fn peek(&self, cell: Cell) -> (Fingerprint, f64) {
         let mut st = self.state.lock();
         if st.slot[cell].is_none() {
-            let opt = Optimizer::new(&self.catalog, &self.query, self.model);
-            self.cost_cells(&mut st, &opt, &[cell]);
+            self.cost_cells(&mut st, &self.optimizer(), &[cell], &Phases::new(false));
         }
         st.slot[cell].unwrap_or((Fingerprint(0), f64::NAN))
     }
@@ -762,8 +585,7 @@ impl LazyEss {
     /// Cost of an arbitrary discovered plan at an arbitrary cell.
     pub fn plan_cost_at(&self, id: PlanId, cell: Cell) -> f64 {
         let plan = self.plan(id);
-        let opt = Optimizer::new(&self.catalog, &self.query, self.model);
-        opt.cost_of(&plan, &self.grid.location(cell))
+        self.optimizer().cost_of(&plan, &self.grid.location(cell))
     }
 
     /// All plan ids discovered so far (the pool grows as bands compile).
@@ -788,37 +610,35 @@ impl LazyEss {
         });
     }
 
-    /// Complete the surface and canonicalize it into an [`Ess`] that is
-    /// byte-identical to an eager compile: flood the remaining bands, then
-    /// assemble per-cell results in cell-index order (reproducing the
-    /// eager first-seen plan-id assignment) and rebuild the contours from
-    /// the full surface.
+    /// Flood the remaining bands with `opt` (the optimizer the compile
+    /// started with) and assemble the complete POSP, plan ids assigned
+    /// first-seen by cell index.
+    ///
+    /// # Errors
+    /// Returns [`RqpError::Config`] if some cell was left uncosted (a flood
+    /// that cannot reach every cell from the origin).
+    pub(crate) fn flood_all(&self, opt: &Optimizer<'_>) -> RqpResult<Posp> {
+        self.compile_through_with(self.num_bands() - 1, opt);
+        let st = self.state.lock();
+        if let Some(cell) = st.slot.iter().position(Option::is_none) {
+            return Err(RqpError::Config(format!(
+                "cell {cell} left uncosted by a completed flood"
+            )));
+        }
+        Ok(Posp::assemble(self.grid.clone(), st.slot.iter().flatten().copied(), &st.registry))
+    }
+
+    /// Complete the surface and canonicalize it into an [`Ess`]: flood the
+    /// remaining bands, assemble the POSP and build the contours from the
+    /// full surface. The result is byte-identical to
+    /// [`crate::Ess::compile`] under the same configuration.
     ///
     /// # Errors
     /// Returns [`RqpError::Config`] if the completed surface cannot be
     /// banded (degenerate costs that the lazy clamp tolerated).
     pub fn finish(&self) -> RqpResult<Arc<Ess>> {
         let out = self.finished.get_or_init(|| {
-            self.compile_through(self.num_bands() - 1);
-            let st = self.state.lock();
-            let mut per_cell: Vec<(Fingerprint, f64)> = Vec::with_capacity(self.grid.num_cells());
-            for cell in self.grid.cells() {
-                match st.slot[cell] {
-                    Some(entry) => per_cell.push(entry),
-                    None => {
-                        return Err(format!(
-                            "cell {cell} left uncosted by a completed lazy compile"
-                        ))
-                    }
-                }
-            }
-            let plans = st
-                .registry
-                .iter()
-                .map(|(_, p)| (Fingerprint::of(p), (**p).clone()))
-                .collect::<std::collections::HashMap<_, _>>();
-            drop(st);
-            let posp = Posp::assemble(self.grid.clone(), per_cell, plans);
+            let posp = self.flood_all(&self.optimizer()).map_err(|e| e.to_string())?;
             let contours = ContourSet::build(&posp, self.ratio).map_err(|e| e.to_string())?;
             Ok(Arc::new(Ess { posp, contours }))
         });
@@ -827,13 +647,45 @@ impl LazyEss {
             Err(e) => Err(RqpError::Config(format!("lazy finish: {e}"))),
         }
     }
+}
 
-    /// The finished surface, if [`finish`] already ran successfully.
-    ///
-    /// [`finish`]: LazyEss::finish
-    pub fn finished(&self) -> Option<Arc<Ess>> {
-        self.finished.get().and_then(|r| r.as_ref().ok()).cloned()
+/// A costed cell: its plan's fingerprint, the plan itself when it was not
+/// yet registered, and its cost.
+type Costed = (Cell, Fingerprint, Option<PlanNode>, f64);
+
+/// DP one cell. A plan `registry` already holds is dropped at once, so a
+/// wave carries a plan tree only for the cells that found a new plan.
+fn dp_cell(
+    opt: &Optimizer<'_>,
+    grid: &Grid,
+    registry: &PlanRegistry,
+    cell: Cell,
+    clock: &PhaseClock,
+) -> Costed {
+    let sw = clock.cell();
+    let planned = opt.optimize(&grid.location(cell));
+    let fp = Fingerprint::of(&planned.plan);
+    clock.add(sw);
+    if registry.get(fp).is_some() {
+        // another cell already compiled this exact plan
+        crate::obs::metrics().memo_hits.inc();
+        (cell, fp, None, planned.cost)
+    } else {
+        (cell, fp, Some(planned.plan), planned.cost)
     }
+}
+
+/// Store a costed cell in the frontier memo, registering its plan if it
+/// carries one (cells of one batch can find the same new plan).
+fn record(st: &mut Frontier, (cell, fp, plan, cost): Costed) {
+    if let Some(plan) = plan {
+        if st.registry.get(fp).is_some() {
+            crate::obs::metrics().memo_hits.inc();
+        } else {
+            st.registry.insert(plan);
+        }
+    }
+    st.slot[cell] = Some((fp, cost));
 }
 
 impl Drop for LazyEss {

@@ -5,10 +5,12 @@
 //! iso-cost contours and anorexic reduction.
 //!
 //! [`Ess::compile`] bundles the full pipeline: discretize the selectivity
-//! space ([`grid::Grid`]), invoke the optimizer at every location in
-//! parallel ([`posp::Posp`]), and slice the resulting optimal cost surface
-//! into geometric cost bands ([`contours::ContourSet`]). The robust
-//! processing algorithms in `rqp-core` run entirely against this structure.
+//! space ([`grid::Grid`]), cost every location by flooding the grid band
+//! by band from the origin ([`lazy::LazyEss`], run to the last band) into
+//! the optimal-plan surface ([`posp::Posp`]), and slice that surface into
+//! geometric cost bands ([`contours::ContourSet`]). [`LazyEss`] also serves
+//! the same flood anytime, one band at a time. The robust processing
+//! algorithms in `rqp-core` run entirely against these structures.
 
 pub mod anorexic;
 pub mod cache;
@@ -24,7 +26,7 @@ pub use anorexic::{anorexic_reduce, Reduced};
 pub use cache::{clear_global_cache_dir, compile_fingerprint, set_global_cache_dir, CompileCache};
 pub use contours::ContourSet;
 pub use grid::{Cell, Grid};
-pub use lazy::{LazyEss, LazyStart, PartialSurface};
+pub use lazy::LazyEss;
 pub use obs::register_metrics;
 pub use posp::{CompileMode, Posp};
 pub use registry::{PlanId, PlanRegistry};
@@ -157,9 +159,12 @@ impl Ess {
             }
         }
 
-        let dims = optimizer.query().dims().max(1);
-        let grid = Grid::uniform(dims, config.resolution, config.min_sel)?;
-        let posp = Posp::compile_with(optimizer, grid, config.mode);
+        let posp = {
+            let _posp_timer = rqp_obs::time_histogram(&m.posp_compile_seconds);
+            let posp = LazyEss::start(optimizer, config)?.flood_all(optimizer)?;
+            m.posp_cells.add(posp.grid().num_cells() as u64);
+            posp
+        };
 
         let sw = rqp_obs::Stopwatch::start();
         let contours = {
@@ -192,7 +197,7 @@ impl Ess {
             rqp_obs::emit(
                 rqp_obs::Event::new(rqp_obs::names::EV_ESS_COMPILE)
                     .with("query", optimizer.query().name.as_str())
-                    .with("dims", dims as u64)
+                    .with("dims", posp.grid().dims() as u64)
                     .with("resolution", config.resolution as u64)
                     .with("grid_cells", posp.grid().num_cells() as u64)
                     .with("posp_plans", posp.num_plans() as u64)

@@ -1,64 +1,17 @@
-//! POSP compilation: the Parametric Optimal Set of Plans over the ESS grid.
+//! The POSP: the Parametric Optimal Set of Plans over the ESS grid.
 //!
-//! The optimizer is invoked at every grid location ("repeated invocations of
+//! The optimizer is invoked at grid locations ("repeated invocations of
 //! the optimizer with different selectivity values", §2.2); the resulting
 //! optimal plans are deduplicated into a [`PlanRegistry`] and each cell
-//! stores its optimal plan id and cost. Compilation is embarrassingly
-//! parallel (§7 notes contour construction parallelizes trivially), so the
-//! grid is mapped with rayon.
+//! stores its optimal plan id and cost. The band flood in [`crate::lazy`]
+//! does the invoking; this module holds the compiled surface, the
+//! seed-sublattice geometry of [`CompileMode::Recost`], and the canonical
+//! plan-id assignment.
 
 use crate::grid::{Cell, Grid};
 use crate::registry::{PlanId, PlanRegistry};
-use parking_lot::Mutex;
-use rayon::prelude::*;
-use rqp_obs::{JsonValue, Stopwatch};
 use rqp_optimizer::Optimizer;
 use rqp_qplan::{Fingerprint, PlanNode};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Accumulates one compile phase's total work across parallel workers:
-/// per-cell [`Stopwatch`] readings land in an atomic nanosecond counter,
-/// reported afterwards as one synthetic aggregate span. Summed worker time
-/// can exceed the enclosing span's wall time — it is attribution ("where
-/// did the optimizer calls go"), not a timeline.
-struct PhaseClock {
-    enabled: bool,
-    nanos: AtomicU64,
-    cells: AtomicU64,
-}
-
-impl PhaseClock {
-    fn new(enabled: bool) -> PhaseClock {
-        PhaseClock { enabled, nanos: AtomicU64::new(0), cells: AtomicU64::new(0) }
-    }
-
-    /// Start timing one cell's work (no-op when tracing is disabled).
-    fn cell(&self) -> Option<Stopwatch> {
-        self.enabled.then(Stopwatch::start)
-    }
-
-    fn add(&self, sw: Option<Stopwatch>) {
-        if let Some(sw) = sw {
-            self.nanos.fetch_add(sw.elapsed_nanos(), Ordering::Relaxed);
-            self.cells.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Emit the aggregate as a synthetic span under the current parent.
-    fn report(&self, tracer: &rqp_obs::Tracer, name: &'static str) {
-        if !self.enabled {
-            return;
-        }
-        let cells = self.cells.load(Ordering::Relaxed);
-        tracer.record_span(
-            name,
-            rqp_obs::SpanKind::CompilePhase,
-            self.nanos.load(Ordering::Relaxed) as f64 * 1e-9,
-            vec![("cells", JsonValue::from(cells))],
-        );
-    }
-}
 
 /// Strategy for computing the optimal-plan surface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,50 +48,10 @@ pub struct Posp {
     cell_cost: Vec<f64>,
 }
 
-/// Record a plan under its fingerprint, counting rediscoveries.
-fn record_plan(distinct: &Mutex<HashMap<Fingerprint, PlanNode>>, fp: Fingerprint, plan: PlanNode) {
-    use std::collections::hash_map::Entry as MapEntry;
-    let mut map = distinct.lock();
-    match map.entry(fp) {
-        // another cell already compiled this exact plan
-        MapEntry::Occupied(_) => crate::obs::metrics().memo_hits.inc(),
-        MapEntry::Vacant(slot) => {
-            slot.insert(plan);
-        }
-    }
-}
-
-/// Full DP at every cell: `(fingerprint, cost)` per cell plus the distinct
-/// plan set.
-fn exact_surface(
-    optimizer: &Optimizer<'_>,
-    grid: &Grid,
-) -> (Vec<(Fingerprint, f64)>, HashMap<Fingerprint, PlanNode>) {
-    let tracer = rqp_obs::current();
-    let dp = PhaseClock::new(tracer.is_enabled());
-    let distinct: Mutex<HashMap<Fingerprint, PlanNode>> = Mutex::new(HashMap::new());
-    let per_cell: Vec<(Fingerprint, f64)> = grid
-        .cells()
-        .into_par_iter()
-        .map(|cell| {
-            let sw = dp.cell();
-            let planned = optimizer.optimize(&grid.location(cell));
-            let fp = Fingerprint::of(&planned.plan);
-            record_plan(&distinct, fp, planned.plan);
-            dp.add(sw);
-            (fp, planned.cost)
-        })
-        .collect();
-    dp.report(&tracer, rqp_obs::names::SPAN_POSP_EXACT_DP);
-    (per_cell, distinct.into_inner())
-}
-
 /// Per-dimension seed coordinates for the recost sublattice: every
-/// `stride`-th point plus the axis end. Shared between the eager
-/// [`recost_surface`] pass and the lazy band-by-band compiler so both walk
-/// the *same* lattice (a prerequisite for bitwise-equal surfaces).
+/// `stride`-th point plus the axis end.
 ///
-/// Callers must uphold `stride > 1` (the [`Posp::compile_with`] guard);
+/// Callers must uphold `stride > 1` (strides ≤ 1 compile in exact mode);
 /// `step_by(0)` would panic.
 pub(crate) fn seed_marks(grid: &Grid, stride: usize) -> Vec<Vec<bool>> {
     debug_assert!(stride > 1, "recost seed lattice requires stride > 1");
@@ -177,161 +90,30 @@ pub(crate) fn is_seed_cell(grid: &Grid, is_seed: &[Vec<bool>], cell: Cell) -> bo
     (0..grid.dims()).all(|d| is_seed[d][grid.coord(cell, d)])
 }
 
-/// Recosting-first surface: DP on the seed sublattice, recost fill between
-/// agreeing seed corners, DP fallback where corners disagree.
-fn recost_surface(
-    optimizer: &Optimizer<'_>,
-    grid: &Grid,
-    stride: usize,
-) -> (Vec<(Fingerprint, f64)>, HashMap<Fingerprint, PlanNode>) {
-    let m = crate::obs::metrics();
-    let dims = grid.dims();
-
-    let is_seed = seed_marks(grid, stride);
-    let seed_cells: Vec<Cell> = grid.cells().filter(|&c| is_seed_cell(grid, &is_seed, c)).collect();
-
-    let tracer = rqp_obs::current();
-    let seed_dp = PhaseClock::new(tracer.is_enabled());
-    let recost = PhaseClock::new(tracer.is_enabled());
-    let fallback_dp = PhaseClock::new(tracer.is_enabled());
-    let distinct: Mutex<HashMap<Fingerprint, PlanNode>> = Mutex::new(HashMap::new());
-    let seed_results: Vec<(Cell, Fingerprint, f64)> = seed_cells
-        .par_iter()
-        .map(|&cell| {
-            let sw = seed_dp.cell();
-            let planned = optimizer.optimize(&grid.location(cell));
-            let fp = Fingerprint::of(&planned.plan);
-            record_plan(&distinct, fp, planned.plan);
-            seed_dp.add(sw);
-            (cell, fp, planned.cost)
-        })
-        .collect();
-    m.seed_cells.add(seed_cells.len() as u64);
-    seed_dp.report(&tracer, rqp_obs::names::SPAN_POSP_SEED_DP);
-
-    let mut slot: Vec<Option<(Fingerprint, f64)>> = vec![None; grid.num_cells()];
-    for &(cell, fp, cost) in &seed_results {
-        slot[cell] = Some((fp, cost));
-    }
-    // the fill pass only ever *reads* seed plans; fallback DP discoveries
-    // go into `distinct` as usual
-    let seed_plans: HashMap<Fingerprint, PlanNode> = distinct.lock().clone();
-
-    let filled: Vec<(Cell, Fingerprint, f64)> = grid
-        .cells()
-        .into_par_iter()
-        .filter(|&c| slot[c].is_none())
-        .map(|cell| {
-            let mut lo = vec![0usize; dims];
-            let mut hi = vec![0usize; dims];
-            seed_box(grid, &is_seed, stride, cell, &mut lo, &mut hi);
-            let mut coords = vec![0usize; dims];
-            let mut agreed: Option<Fingerprint> = None;
-            let mut agree = true;
-            'corners: for mask in 0u32..(1u32 << dims) {
-                for d in 0..dims {
-                    coords[d] = if mask & (1 << d) != 0 { hi[d] } else { lo[d] };
-                }
-                match (slot[grid.index(&coords)], agreed) {
-                    (Some((fp, _)), None) => agreed = Some(fp),
-                    (Some((fp, _)), Some(first)) if fp == first => {}
-                    _ => {
-                        agree = false;
-                        break 'corners;
-                    }
-                }
-            }
-            if agree {
-                if let Some(fp) = agreed {
-                    if let Some(plan) = seed_plans.get(&fp) {
-                        m.recost_cells.inc();
-                        let sw = recost.cell();
-                        let cost = optimizer.cost_of(plan, &grid.location(cell));
-                        recost.add(sw);
-                        return (cell, fp, cost);
-                    }
-                }
-            }
-            m.recost_fallback_cells.inc();
-            let sw = fallback_dp.cell();
-            let planned = optimizer.optimize(&grid.location(cell));
-            let fp = Fingerprint::of(&planned.plan);
-            record_plan(&distinct, fp, planned.plan);
-            fallback_dp.add(sw);
-            (cell, fp, planned.cost)
-        })
-        .collect();
-    recost.report(&tracer, rqp_obs::names::SPAN_POSP_RECOST);
-    fallback_dp.report(&tracer, rqp_obs::names::SPAN_POSP_FALLBACK_DP);
-    for (cell, fp, cost) in filled {
-        slot[cell] = Some((fp, cost));
-    }
-    // belt-and-braces: any cell both passes somehow missed gets its own DP
-    for cell in grid.cells() {
-        if slot[cell].is_none() {
-            debug_assert!(false, "cell {cell} left unfilled by recost passes");
-            let planned = optimizer.optimize(&grid.location(cell));
-            let fp = Fingerprint::of(&planned.plan);
-            record_plan(&distinct, fp, planned.plan);
-            slot[cell] = Some((fp, planned.cost));
-        }
-    }
-    (slot.into_iter().flatten().collect(), distinct.into_inner())
-}
-
 impl Posp {
-    /// Compile the POSP by optimizing at every grid location in parallel
-    /// (brute-force [`CompileMode::Exact`]).
-    pub fn compile(optimizer: &Optimizer<'_>, grid: Grid) -> Posp {
-        Posp::compile_with(optimizer, grid, CompileMode::Exact)
-    }
-
-    /// Compile the POSP with an explicit surface strategy.
-    pub fn compile_with(optimizer: &Optimizer<'_>, grid: Grid, mode: CompileMode) -> Posp {
-        let m = crate::obs::metrics();
-        let _span = rqp_obs::time_histogram(&m.posp_compile_seconds);
-        m.posp_cells.add(grid.num_cells() as u64);
-
-        let (per_cell, plans) = match mode {
-            // the corner-agreement test enumerates 2^dims seed-box corners;
-            // past 8 dims the sublattice stops being a win, degrade to exact
-            CompileMode::Recost { seed_stride } if seed_stride > 1 && grid.dims() <= 8 => {
-                recost_surface(optimizer, &grid, seed_stride)
-            }
-            _ => exact_surface(optimizer, &grid),
-        };
-        Posp::assemble(grid, per_cell, plans)
-    }
-
     /// Assign deterministic plan ids (first-seen order by cell index) and
-    /// assemble the surface. Also the finishing step of the lazy compiler:
-    /// feeding it the per-cell `(fingerprint, cost)` pairs in cell-index
-    /// order reproduces the eager id assignment exactly, regardless of the
-    /// order in which the lazy frontier discovered the plans.
+    /// assemble the surface from per-cell `(fingerprint, cost)` pairs in
+    /// cell-index order, taking each plan from `discovered`. The ids are
+    /// therefore independent of the order in which the flood discovered
+    /// the plans.
     pub(crate) fn assemble(
         grid: Grid,
-        per_cell: Vec<(Fingerprint, f64)>,
-        mut plans: HashMap<Fingerprint, PlanNode>,
+        per_cell: impl Iterator<Item = (Fingerprint, f64)>,
+        discovered: &PlanRegistry,
     ) -> Posp {
         let mut registry = PlanRegistry::new();
-        let mut cell_plan = Vec::with_capacity(per_cell.len());
-        let mut cell_cost = Vec::with_capacity(per_cell.len());
-        let mut fp_to_id: HashMap<Fingerprint, PlanId> = HashMap::new();
+        let mut cell_plan = Vec::with_capacity(grid.num_cells());
+        let mut cell_cost = Vec::with_capacity(grid.num_cells());
         for (fp, cost) in per_cell {
-            let id = if let Some(&id) = fp_to_id.get(&fp) {
-                id
-            } else {
-                let id = match plans.remove(&fp) {
-                    Some(plan) => registry.insert(plan),
-                    None => {
-                        // unreachable: the parallel pass recorded a plan for
-                        // every fingerprint; degrade to the first plan id
-                        debug_assert!(false, "plan recorded for fingerprint");
-                        PlanId(0)
-                    }
-                };
-                fp_to_id.insert(fp, id);
-                id
+            let id = match (registry.get(fp), discovered.get(fp)) {
+                (Some(id), _) => id,
+                (None, Some(found)) => registry.insert((**discovered.plan(found)).clone()),
+                (None, None) => {
+                    // unreachable: every costed cell's plan was registered;
+                    // degrade to the first plan id
+                    debug_assert!(false, "plan recorded for fingerprint");
+                    PlanId(0)
+                }
             };
             cell_plan.push(id);
             cell_cost.push(cost);
@@ -397,6 +179,19 @@ impl Posp {
     }
 }
 
+/// Compile a 2D-or-wider test surface at `resolution` points per axis
+/// from `min_sel`, without any cache.
+#[cfg(test)]
+pub(crate) fn compile(
+    opt: &Optimizer<'_>,
+    resolution: usize,
+    min_sel: f64,
+    mode: CompileMode,
+) -> Posp {
+    let config = crate::EssConfig { resolution, min_sel, mode, ..Default::default() };
+    crate::Ess::compile_cached(opt, config, None).unwrap().posp
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,8 +234,7 @@ mod tests {
     fn compiles_with_multiple_plans_and_monotone_costs() {
         let (catalog, query) = fixture();
         let opt = Optimizer::new(&catalog, &query, CostModel::default());
-        let grid = Grid::uniform(2, 12, 1e-6).unwrap();
-        let posp = Posp::compile(&opt, grid);
+        let posp = compile(&opt, 12, 1e-6, CompileMode::Exact);
 
         assert!(posp.num_plans() >= 3, "expected plan diversity, got {}", posp.num_plans());
         assert!(posp.cmin() > 0.0);
@@ -466,8 +260,7 @@ mod tests {
     fn cell_costs_match_reoptimization() {
         let (catalog, query) = fixture();
         let opt = Optimizer::new(&catalog, &query, CostModel::default());
-        let grid = Grid::uniform(2, 6, 1e-5).unwrap();
-        let posp = Posp::compile(&opt, grid);
+        let posp = compile(&opt, 6, 1e-5, CompileMode::Exact);
         for cell in [0usize, 7, 17, posp.grid().terminus()] {
             let loc = posp.grid().location(cell);
             let planned = opt.optimize(&loc);
@@ -482,14 +275,14 @@ mod tests {
     fn compilation_is_deterministic() {
         let (catalog, query) = fixture();
         let opt = Optimizer::new(&catalog, &query, CostModel::default());
-        let a = Posp::compile(&opt, Grid::uniform(2, 8, 1e-5).unwrap());
-        let b = Posp::compile(&opt, Grid::uniform(2, 8, 1e-5).unwrap());
+        let a = compile(&opt, 8, 1e-5, CompileMode::Exact);
+        let b = compile(&opt, 8, 1e-5, CompileMode::Exact);
         assert_eq!(a.cell_plan, b.cell_plan);
         assert_eq!(a.num_plans(), b.num_plans());
     }
 
     /// Pin the documented degrade path: `Recost { seed_stride: 0 | 1 }`
-    /// falls through the `seed_stride > 1` guard in `compile_with` into the
+    /// falls through the `seed_stride > 1` guard of the flood into the
     /// exact surface — no `step_by(0)` panic, no division by zero in the
     /// seed-box arithmetic, and a surface bitwise-identical to
     /// `CompileMode::Exact`.
@@ -497,14 +290,9 @@ mod tests {
     fn degenerate_recost_strides_degrade_to_exact() {
         let (catalog, query) = fixture();
         let opt = Optimizer::new(&catalog, &query, CostModel::default());
-        let exact =
-            Posp::compile_with(&opt, Grid::uniform(2, 8, 1e-5).unwrap(), CompileMode::Exact);
+        let exact = compile(&opt, 8, 1e-5, CompileMode::Exact);
         for stride in [0usize, 1] {
-            let degraded = Posp::compile_with(
-                &opt,
-                Grid::uniform(2, 8, 1e-5).unwrap(),
-                CompileMode::Recost { seed_stride: stride },
-            );
+            let degraded = compile(&opt, 8, 1e-5, CompileMode::Recost { seed_stride: stride });
             assert_eq!(degraded.cell_plan, exact.cell_plan, "stride {stride}");
             assert_eq!(
                 degraded.cell_cost.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),

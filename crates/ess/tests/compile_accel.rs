@@ -1,14 +1,15 @@
-//! Integration tests for the compile acceleration layer: the recosting
-//! surface must be indistinguishable (within the workspace cost tolerance)
-//! from the brute-force surface, and a compile routed through the
-//! persistent cache must restore byte-identical surfaces and bands.
+//! Integration tests for the compile acceleration layer: the exact surface
+//! must be the brute-force surface bit for bit, the recosting surface must
+//! be indistinguishable from it within the workspace cost tolerance, and a
+//! compile routed through the persistent cache must restore byte-identical
+//! surfaces and bands.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use rqp_catalog::{Catalog, CatalogBuilder, Query, QueryBuilder, RelationBuilder, RqpResult};
 use rqp_ess::{CompileCache, CompileMode, Ess, EssConfig, Grid, Posp};
 use rqp_optimizer::Optimizer;
-use rqp_qplan::{cost_eq, CostModel};
+use rqp_qplan::{cost_eq, CostModel, Fingerprint};
 
 fn catalog() -> Catalog {
     CatalogBuilder::new()
@@ -47,67 +48,67 @@ fn query(catalog: &Catalog, dims: usize) -> RqpResult<Query> {
     qb.build()
 }
 
-fn assert_surfaces_equivalent(exact: &Posp, fast: &Posp, opt: &Optimizer<'_>) {
-    assert_eq!(exact.grid().num_cells(), fast.grid().num_cells());
-    for cell in exact.grid().cells() {
-        let e = exact.cost(cell);
-        let f = fast.cost(cell);
-        assert!(
-            cost_eq(e, f),
-            "cell {cell}: exact cost {e} vs recost surface cost {f} \
-             (exact plan P{}, fast plan P{})",
-            exact.plan_id(cell).0 + 1,
-            fast.plan_id(cell).0 + 1,
-        );
-        // the recorded cost must really be the cost of the recorded plan
-        let replayed = fast.cost_of_plan_at(opt, fast.plan_id(cell), cell);
-        assert!(cost_eq(replayed, f), "cell {cell}: stored {f}, recosted {replayed}");
+/// The POSP by the paper's definition (§2.2): the optimizer invoked at
+/// every grid location, as `(plan fingerprint, cost)` per cell.
+fn brute_force(opt: &Optimizer<'_>, grid: &Grid) -> Vec<(Fingerprint, f64)> {
+    grid.cells()
+        .map(|cell| {
+            let planned = opt.optimize(&grid.location(cell));
+            (Fingerprint::of(&planned.plan), planned.cost)
+        })
+        .collect()
+}
+
+fn compile(opt: &Optimizer<'_>, resolution: usize, mode: CompileMode) -> Posp {
+    let config = EssConfig { resolution, mode, ..Default::default() };
+    Ess::compile_cached(opt, config, None).unwrap().posp
+}
+
+fn plan_fp(posp: &Posp, cell: usize) -> Fingerprint {
+    Fingerprint::of(posp.plan(posp.plan_id(cell)))
+}
+
+#[test]
+fn exact_mode_is_the_brute_force_surface() {
+    let catalog = catalog();
+    for (dims, res) in [(2, 9), (2, 16), (3, 10)] {
+        let query = query(&catalog, dims).unwrap();
+        let opt = Optimizer::new(&catalog, &query, CostModel::default());
+        // strides ≤ 1 degrade to exact mode
+        for mode in [
+            CompileMode::Exact,
+            CompileMode::Recost { seed_stride: 0 },
+            CompileMode::Recost { seed_stride: 1 },
+        ] {
+            let posp = compile(&opt, res, mode);
+            let reference = brute_force(&opt, posp.grid());
+            for (cell, &(fp, cost)) in reference.iter().enumerate() {
+                assert_eq!(posp.cost(cell).to_bits(), cost.to_bits(), "{dims}D {mode:?} {cell}");
+                assert_eq!(plan_fp(&posp, cell), fp, "{dims}D {mode:?} cell {cell} plan");
+            }
+        }
     }
 }
 
 #[test]
-fn recost_surface_matches_brute_force_2d() {
+fn recost_mode_matches_brute_force() {
     let catalog = catalog();
-    let query = query(&catalog, 2).unwrap();
-    let opt = Optimizer::new(&catalog, &query, CostModel::default());
-    let grid = |res| Grid::uniform(2, res, 1e-5).unwrap();
-    for res in [9, 16] {
-        let exact = Posp::compile_with(&opt, grid(res), CompileMode::Exact);
-        let fast = Posp::compile_with(&opt, grid(res), CompileMode::Recost { seed_stride: 3 });
-        assert_surfaces_equivalent(&exact, &fast, &opt);
-    }
-}
-
-#[test]
-fn recost_surface_matches_brute_force_3d() {
-    let catalog = catalog();
-    let query = query(&catalog, 3).unwrap();
-    let opt = Optimizer::new(&catalog, &query, CostModel::default());
-    let exact = Posp::compile_with(&opt, Grid::uniform(3, 10, 1e-5).unwrap(), CompileMode::Exact);
-    let fast = Posp::compile_with(
-        &opt,
-        Grid::uniform(3, 10, 1e-5).unwrap(),
-        CompileMode::Recost { seed_stride: 3 },
-    );
-    assert_surfaces_equivalent(&exact, &fast, &opt);
-}
-
-#[test]
-fn degenerate_strides_degrade_to_exact() {
-    let catalog = catalog();
-    let query = query(&catalog, 2).unwrap();
-    let opt = Optimizer::new(&catalog, &query, CostModel::default());
-    for stride in [0, 1] {
-        let exact =
-            Posp::compile_with(&opt, Grid::uniform(2, 6, 1e-5).unwrap(), CompileMode::Exact);
-        let fast = Posp::compile_with(
-            &opt,
-            Grid::uniform(2, 6, 1e-5).unwrap(),
-            CompileMode::Recost { seed_stride: stride },
-        );
-        for cell in exact.grid().cells() {
-            assert_eq!(exact.cost(cell).to_bits(), fast.cost(cell).to_bits());
-            assert_eq!(exact.plan_id(cell), fast.plan_id(cell));
+    for (dims, res) in [(2, 9), (2, 16), (3, 10)] {
+        let query = query(&catalog, dims).unwrap();
+        let opt = Optimizer::new(&catalog, &query, CostModel::default());
+        let fast = compile(&opt, res, CompileMode::Recost { seed_stride: 3 });
+        let reference = brute_force(&opt, fast.grid());
+        for (cell, &(_, e)) in reference.iter().enumerate() {
+            let f = fast.cost(cell);
+            assert!(
+                cost_eq(e, f),
+                "{dims}D cell {cell}: brute-force cost {e} vs recost surface cost {f} \
+                 (recost plan P{})",
+                fast.plan_id(cell).0 + 1,
+            );
+            // the recorded cost must really be the cost of the recorded plan
+            let replayed = fast.cost_of_plan_at(&opt, fast.plan_id(cell), cell);
+            assert!(cost_eq(replayed, f), "{dims}D cell {cell}: stored {f}, recosted {replayed}");
         }
     }
 }

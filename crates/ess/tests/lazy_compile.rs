@@ -1,14 +1,13 @@
-//! Integration tests for the lazy anytime compiler: band-by-band
-//! materialization must be cell-for-cell indistinguishable from the eager
-//! pipeline (same costs to the bit, same plan assignment, same contour
-//! membership), stopping at band `k` must never cost cells above `k`'s
-//! boundary layer, and a partial snapshot must round-trip through the
-//! cache and resume to a byte-identical final surface.
+//! Integration tests for anytime compilation: a surface materialized band
+//! by band on demand and finished afterwards must be cell-for-cell
+//! indistinguishable from a full compile (same costs to the bit, same
+//! plan assignment, same contour membership), and stopping at band `k`
+//! must never cost cells above `k`'s boundary layer.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use rqp_catalog::{Catalog, CatalogBuilder, Query, QueryBuilder, RelationBuilder, RqpResult};
-use rqp_ess::{CompileCache, CompileMode, Ess, EssConfig, LazyEss, LazyStart, PospSnapshot};
+use rqp_ess::{CompileMode, Ess, EssConfig, LazyEss, PospSnapshot};
 use rqp_optimizer::Optimizer;
 use rqp_qplan::CostModel;
 
@@ -91,7 +90,7 @@ fn lazy_finish_matches_eager_exact_and_recost_2d_3d_4d() {
         for mode in [CompileMode::Exact, CompileMode::Recost { seed_stride: 3 }] {
             let cfg = config(dims, mode);
             let eager = Ess::compile_cached(&opt, cfg, None).unwrap();
-            let lazy = LazyEss::begin(&catalog, &query, CostModel::default(), cfg).unwrap();
+            let lazy = LazyEss::begin(&opt, cfg).unwrap();
             let finished = lazy.finish().unwrap();
             assert_ess_identical(&eager, &finished);
             // the final snapshots are byte-identical, not just equivalent
@@ -111,7 +110,7 @@ fn lazy_bands_match_eager_contours_without_finishing() {
     let opt = Optimizer::new(&catalog, &query, CostModel::default());
     let cfg = config(3, CompileMode::Recost { seed_stride: 3 });
     let eager = Ess::compile_cached(&opt, cfg, None).unwrap();
-    let lazy = LazyEss::begin(&catalog, &query, CostModel::default(), cfg).unwrap();
+    let lazy = LazyEss::begin(&opt, cfg).unwrap();
     assert_eq!(lazy.num_bands(), eager.contours.num_bands());
     for band in 0..2.min(lazy.num_bands()) {
         assert_eq!(
@@ -128,7 +127,8 @@ fn compiling_through_band_k_never_costs_cells_above_its_boundary() {
     let catalog = catalog();
     let query = query(&catalog, 3).unwrap();
     let cfg = config(3, CompileMode::Exact);
-    let lazy = LazyEss::begin(&catalog, &query, CostModel::default(), cfg).unwrap();
+    let opt = Optimizer::new(&catalog, &query, CostModel::default());
+    let lazy = LazyEss::begin(&opt, cfg).unwrap();
     let total = lazy.grid().num_cells();
     assert!(lazy.num_bands() > 3, "fixture must have enough bands to stop early");
 
@@ -171,7 +171,8 @@ fn oracle_peeks_cost_single_cells_not_bands() {
     let catalog = catalog();
     let query = query(&catalog, 2).unwrap();
     let cfg = config(2, CompileMode::Exact);
-    let lazy = LazyEss::begin(&catalog, &query, CostModel::default(), cfg).unwrap();
+    let opt = Optimizer::new(&catalog, &query, CostModel::default());
+    let lazy = LazyEss::begin(&opt, cfg).unwrap();
     let baseline = lazy.costed_cells(); // the two ladder anchors
     let mid = lazy.grid().num_cells() / 2;
     let c = lazy.cost(mid);
@@ -185,82 +186,12 @@ fn oracle_peeks_cost_single_cells_not_bands() {
 }
 
 #[test]
-fn partial_snapshot_roundtrips_and_resumes_to_identical_surface() {
-    let catalog = catalog();
-    let query = query(&catalog, 3).unwrap();
-    let opt = Optimizer::new(&catalog, &query, CostModel::default());
-    let model = CostModel::default();
-    let cfg = config(3, CompileMode::Recost { seed_stride: 3 });
-    let eager = Ess::compile_cached(&opt, cfg, None).unwrap();
-
-    let dir = std::env::temp_dir().join(format!("rqp-lazy-partial-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cache = CompileCache::new(&dir).unwrap();
-
-    // compile part-way, checkpoint, drop the original
-    let fp = rqp_ess::compile_fingerprint(&catalog, &query, &model, &cfg);
-    {
-        let lazy = LazyEss::begin(&catalog, &query, model, cfg).unwrap();
-        lazy.compile_through(1);
-        lazy.checkpoint(&cache).unwrap();
-    }
-
-    // reload in a "new process": begin_cached finds the partial
-    let resumed = match LazyEss::begin_cached(&catalog, &query, model, cfg, Some(&cache)).unwrap() {
-        LazyStart::Lazy(lazy) => lazy,
-        LazyStart::Full(_) => panic!("no full snapshot was stored"),
-    };
-    assert_eq!(resumed.bands_compiled(), 2, "warm start must resume below the stored cursor");
-
-    // resuming to the terminus yields the same bytes as the eager compile
-    let finished = resumed.finish().unwrap();
-    assert_eq!(
-        PospSnapshot::capture(&eager).to_json().unwrap(),
-        PospSnapshot::capture(&finished).to_json().unwrap(),
-        "resumed surface must serialize byte-identically to the eager one"
-    );
-
-    // a corrupted partial is quarantined and treated as a cold start
-    let path = dir.join(format!("posp-{fp:016x}.partial.rqpc"));
-    assert!(path.exists());
-    std::fs::write(&path, "rqp-posp-partial v1 garbage").unwrap();
-    match LazyEss::begin_cached(&catalog, &query, model, cfg, Some(&cache)).unwrap() {
-        LazyStart::Lazy(lazy) => assert_eq!(lazy.bands_compiled(), 0, "cold start expected"),
-        LazyStart::Full(_) => panic!("no full snapshot was stored"),
-    }
-    assert!(!path.exists(), "corrupt partial must be quarantined aside");
-    assert!(dir.join(format!("posp-{fp:016x}.partial.rqpc.corrupt")).exists());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn resume_rejects_mismatched_configurations() {
-    let catalog = catalog();
-    let query = query(&catalog, 2).unwrap();
-    let model = CostModel::default();
-    let cfg = config(2, CompileMode::Exact);
-    let lazy = LazyEss::begin(&catalog, &query, model, cfg).unwrap();
-    lazy.compile_through(0);
-    let partial = lazy.partial();
-
-    // wrong resolution: the grid no longer matches
-    let other = EssConfig { resolution: cfg.resolution + 1, ..cfg };
-    assert!(LazyEss::resume(&catalog, &query, model, other, partial.clone()).is_err());
-
-    // wrong ratio: the ladder no longer matches
-    let other = EssConfig { contour_ratio: 3.0, ..cfg };
-    assert!(LazyEss::resume(&catalog, &query, model, other, partial.clone()).is_err());
-
-    // matching config resumes fine
-    assert!(LazyEss::resume(&catalog, &query, model, cfg, partial).is_ok());
-}
-
-#[test]
 fn prefetch_compiles_ahead_in_the_background() {
     let catalog = catalog();
     let query = query(&catalog, 2).unwrap();
     let cfg = config(2, CompileMode::Exact);
-    let lazy = LazyEss::begin(&catalog, &query, CostModel::default(), cfg).unwrap();
+    let opt = Optimizer::new(&catalog, &query, CostModel::default());
+    let lazy = LazyEss::begin(&opt, cfg).unwrap();
     let target = lazy.num_bands() - 1;
     lazy.prefetch(target);
     // bounded wait for the background task; compile_through is idempotent

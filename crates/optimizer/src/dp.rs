@@ -134,6 +134,11 @@ impl<'a> Optimizer<'a> {
         self.model
     }
 
+    /// The tuning knobs in use.
+    pub fn config(&self) -> OptimizerConfig {
+        self.config
+    }
+
     /// Cost an arbitrary plan at a location (convenience wrapper).
     pub fn cost_of(&self, plan: &PlanNode, loc: &SelVector) -> f64 {
         let ctx = PlanCtx::new(self.catalog, self.query, loc);

@@ -12,13 +12,13 @@
 //! joins them. Sessions admitted before the close are never dropped.
 
 use crate::obs::metrics;
-use crate::registry::{BreakerConfig, EssRegistry};
+use crate::registry::{BreakerConfig, EssRegistry, SharedSurface};
 use crate::report::ServeReport;
-use crate::session::{algo_by_name, SessionOutcome, SessionResult, SessionSpec};
+use crate::session::{algo_by_name, name_digest, SessionOutcome, SessionResult, SessionSpec};
 use rqp_catalog::{Estimator, RqpError, RqpResult};
 use rqp_chaos::{CompileFaultConfig, CompileFaultPlan, FaultConfig, FaultPlan};
 use rqp_core::RobustRuntime;
-use rqp_ess::{compile_fingerprint, CompileCache, Ess, EssConfig, Grid};
+use rqp_ess::{compile_fingerprint, CompileCache, Ess, EssConfig, Grid, LazyEss};
 use rqp_executor::Engine;
 use rqp_obs::{names, Deadline};
 use rqp_optimizer::Optimizer;
@@ -80,7 +80,7 @@ pub struct ServeConfig {
     /// a shared [`rqp_ess::LazyEss`] after costing only the ladder
     /// anchors, and each session materializes just the contour bands its
     /// discovery reaches. Cold-start sessions run orders of magnitude
-    /// sooner; surfaces finish on demand if an eager consumer asks.
+    /// sooner; surfaces finish on demand if a whole-surface consumer asks.
     pub lazy: bool,
 }
 
@@ -453,16 +453,6 @@ fn breaker_health(registry: &EssRegistry) -> String {
     s
 }
 
-/// FNV-1a, the deterministic seed for session trace ids.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Wrap one session in its causal trace: derive the deterministic trace
 /// id, install the tracer on this worker thread, open the root session
 /// span, run the session, and collect the spans into the result (and the
@@ -471,9 +461,8 @@ fn run_session(inner: &Inner, queued: Queued) -> SessionResult {
     let spec = &queued.spec;
     let tracer = if inner.config.tracing {
         // deterministic: same (query, algo, id) → same trace id across runs
-        let trace_id = fnv1a(spec.query.as_bytes())
-            ^ fnv1a(spec.algo.as_bytes()).rotate_left(17)
-            ^ spec.id as u64;
+        let trace_id =
+            name_digest(&spec.query) ^ name_digest(&spec.algo).rotate_left(17) ^ spec.id as u64;
         rqp_obs::Tracer::new(trace_id, spec.id as u64)
     } else {
         rqp_obs::Tracer::disabled()
@@ -554,21 +543,19 @@ fn run_session_inner(inner: &Inner, queued: Queued) -> SessionResult {
     // registry's drop guard turns that into an open breaker, and the
     // catch here keeps the worker thread alive to serve the next session.
     let lookup = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if inner.config.lazy {
-            // Anytime serving: publish after the ladder anchors only;
-            // this session (and its peers) pull bands on demand.
-            inner.registry.get_or_lazy(fp, deadline, || {
-                rqp_ess::LazyEss::begin(&w.catalog, &w.query, model, cfg)
-            })
-        } else {
-            inner
-                .registry
-                .get_or_compile(fp, deadline, || {
-                    let optimizer = Optimizer::new(&w.catalog, &w.query, model);
-                    Ess::compile(&optimizer, cfg)
-                })
-                .map(|(ess, how)| (crate::registry::SharedSurface::Eager(ess), how))
-        }
+        inner.registry.get_or_compile(fp, deadline, || {
+            let optimizer = Optimizer::new(&w.catalog, &w.query, model);
+            if inner.config.lazy {
+                // Anytime serving: publish after the ladder anchors only;
+                // this session (and its peers) pull bands on demand.
+                LazyEss::begin(&optimizer, cfg).map(SharedSurface::Lazy)
+            } else {
+                // The registry's disk tier is the only cache: this compile
+                // must not also read or write the process-wide one.
+                let ess = Ess::compile_cached(&optimizer, cfg, None)?;
+                Ok(SharedSurface::Eager(Arc::new(ess)))
+            }
+        })
     }))
     .unwrap_or_else(|_| {
         Err(RqpError::Internal("ESS compile panicked; breaker opened".to_string()))
@@ -589,10 +576,10 @@ fn run_session_inner(inner: &Inner, queued: Queued) -> SessionResult {
     result.lookup = Some(how);
     notify(sink.as_ref(), || SessionUpdate::Surface { id: spec.id, lookup: how });
     let rt = match surface {
-        crate::registry::SharedSurface::Eager(ess) => {
+        SharedSurface::Eager(ess) => {
             RobustRuntime::with_shared_ess(&w.catalog, &w.query, model, ess)
         }
-        crate::registry::SharedSurface::Lazy(lazy) => {
+        SharedSurface::Lazy(lazy) => {
             RobustRuntime::with_shared_lazy(&w.catalog, &w.query, model, lazy)
         }
     };

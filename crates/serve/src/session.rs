@@ -3,7 +3,7 @@
 use rqp_catalog::{RqpError, RqpResult};
 use rqp_core::{AlignedBound, Discovery, NativeOptimizer, PlanBouquet, ReOptimizer, SpillBound};
 use rqp_ess::{compile_fingerprint, Cell, EssConfig};
-use rqp_qplan::CostModel;
+use rqp_qplan::{CostModel, StableHasher};
 use rqp_workloads::Workload;
 use std::time::Duration;
 
@@ -68,6 +68,14 @@ pub fn session_fingerprint(query: &str, resolution: Option<usize>) -> RqpResult<
         cfg.resolution = r;
     }
     Ok(compile_fingerprint(&w.catalog, &w.query, &model, &cfg))
+}
+
+/// FNV-1a of a name: the deterministic seed of session trace ids, and the
+/// shard route of a workload name without a fingerprint.
+pub(crate) fn name_digest(name: &str) -> u64 {
+    let mut h = StableHasher::new();
+    h.write_bytes(name.as_bytes());
+    h.finish()
 }
 
 /// Resolve an algorithm token to its discovery implementation.
@@ -204,6 +212,15 @@ mod tests {
         let c = session_fingerprint("2D_Q91", Some(7)).unwrap();
         assert_ne!(a, c, "resolution is part of the fingerprint");
         assert!(session_fingerprint("NO_SUCH_QUERY", None).is_err());
+    }
+
+    #[test]
+    fn name_digests_are_plain_fnv1a() {
+        // FNV-1a/64 reference vectors: trace ids and shard routes derived
+        // from names must not move
+        assert_eq!(name_digest(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(name_digest("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(name_digest("foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 use crate::registry::RegistryStats;
 use crate::report::ServeReport;
 use crate::server::{ServeConfig, Server, SessionUpdate};
-use crate::session::{session_fingerprint, SessionOutcome, SessionResult, SessionSpec};
+use crate::session::{
+    name_digest, session_fingerprint, SessionOutcome, SessionResult, SessionSpec,
+};
 use crate::wire::{read_frame, write_frame, Frame, WireRead, WireResult, PROTOCOL_VERSION};
 use rqp_catalog::{RqpError, RqpResult};
 use std::collections::HashMap;
@@ -263,7 +265,7 @@ impl TcpTransport {
             .fp_cache
             .entry(query.to_string())
             .or_insert_with(|| session_fingerprint(query, resolution).ok());
-        let h = fp.unwrap_or_else(|| fnv1a(query.as_bytes()));
+        let h = fp.unwrap_or_else(|| name_digest(query));
         (h % self.shards as u64) as usize
     }
 
@@ -279,16 +281,6 @@ impl TcpTransport {
         }
         Ok(())
     }
-}
-
-/// FNV-1a over bytes (routing fallback for unknown workload names).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn wait_for_hello(stream: &mut TcpStream, addr: &str) -> RqpResult<Frame> {
