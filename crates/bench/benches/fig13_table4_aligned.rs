@@ -4,9 +4,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rqp_bench::{fig13_table4_aligned, render_aligned, runtime_for, Scale};
-use rqp_core::{AlignedBound, Discovery};
+use rqp_core::{AlignedBound, Discovery, RobustRuntime};
+use rqp_qplan::CostModel;
 use rqp_workloads::{BenchQuery, Workload};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench(c: &mut Criterion) {
     let rows = fig13_table4_aligned(Scale::Quick);
@@ -15,10 +17,19 @@ fn bench(c: &mut Criterion) {
     let w = Workload::tpcds(BenchQuery::Q91_4D).expect("workload builds");
     let rt = runtime_for(&w, Scale::Quick);
     let qa = rt.grid().num_cells() / 2;
+    let ess = rt.ess().expect("eager surface");
     c.bench_function("fig13/ab_discover_cold_4d_q91", |b| {
         b.iter(|| {
-            let ab = AlignedBound::new(); // cold cache: full partition search
-            black_box(ab.discover(&rt, qa).total_cost)
+            // a fresh surface handle has an empty contour memo: full
+            // partition search
+            let cold = RobustRuntime::with_shared_ess(
+                &w.catalog,
+                &w.query,
+                CostModel::default(),
+                Arc::clone(&ess),
+            )
+            .expect("same workload");
+            black_box(AlignedBound::new().discover(&cold, qa).total_cost)
         })
     });
     let ab = AlignedBound::new();

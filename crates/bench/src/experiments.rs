@@ -220,7 +220,7 @@ pub fn fig13_table4_aligned(scale: Scale) -> Vec<AlignedRow> {
                 sb_mso: sb_ev.mso,
                 ab_mso: ab_ev.mso,
                 linear_bound: (2 * rt.dims() + 2) as f64,
-                ab_max_penalty: ab.max_part_penalty_seen(),
+                ab_max_penalty: ab.max_part_penalty_seen(&rt),
             }
         })
         .collect()

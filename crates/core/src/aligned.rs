@@ -17,15 +17,15 @@
 use crate::bouquet::bouquet_endgame;
 use crate::knowledge::Knowledge;
 use crate::runtime::RobustRuntime;
-use crate::spillbound::{contour_choice, state_key, StateKey};
+use crate::spillbound::{memo_choice, state_key};
+use crate::surface::memoise;
 use crate::trace::{DiscoveryTrace, PlanRef};
 use crate::Discovery;
-use parking_lot::Mutex;
 use rqp_catalog::EppId;
 use rqp_ess::{Cell, PlanId};
 use rqp_qplan::pipeline::spill_target;
 use rqp_qplan::{Fingerprint, PlanNode};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// All set partitions of `items` (Bell number; ≤ 203 for 6 items).
@@ -67,7 +67,7 @@ struct PartExec {
 }
 
 /// The per-contour decision: the ordered executions plus bookkeeping.
-struct ContourDecision {
+pub(crate) struct ContourDecision {
     execs: Vec<PartExec>,
     /// Total replacement penalty of the chosen partition (1.0 per natively
     /// aligned part).
@@ -142,56 +142,39 @@ fn cheapest_spilling_plan(
     best
 }
 
-/// The AlignedBound algorithm.
-pub struct AlignedBound {
-    cache: Mutex<HashMap<StateKey, Arc<ContourDecision>>>,
-}
+/// The AlignedBound algorithm. Its contour decisions live in the memo of
+/// the surface it runs on, shared by every instance and session there.
+pub struct AlignedBound;
 
 impl AlignedBound {
     /// Create the algorithm.
     pub fn new() -> Self {
-        AlignedBound { cache: Mutex::new(HashMap::new()) }
+        AlignedBound
     }
 
     /// Largest single-part replacement penalty across all contour decisions
-    /// taken so far (Table 4's "max penalty for AB"). Call after running
-    /// [`Discovery::discover`] / `evaluate` with this instance.
-    pub fn max_part_penalty_seen(&self) -> f64 {
-        self.cache.lock().values().map(|d| d.max_part_penalty).fold(1.0, f64::max)
+    /// taken so far on `rt`'s surface (Table 4's "max penalty for AB").
+    /// Call after running [`Discovery::discover`] / `evaluate` on `rt`.
+    pub fn max_part_penalty_seen(&self, rt: &RobustRuntime<'_>) -> f64 {
+        rt.memo().ab.lock().values().map(|d| d.max_part_penalty).fold(1.0, f64::max)
     }
 
     /// Largest *partition-total* penalty (sum over parts) across all
-    /// contour decisions taken so far — AB's worst per-contour expenditure
-    /// in contour-cost units.
-    pub fn max_partition_penalty_seen(&self) -> f64 {
-        self.cache.lock().values().map(|d| d.total_penalty).fold(0.0, f64::max)
+    /// contour decisions taken so far on `rt`'s surface — AB's worst
+    /// per-contour expenditure in contour-cost units.
+    pub fn max_partition_penalty_seen(&self, rt: &RobustRuntime<'_>) -> f64 {
+        rt.memo().ab.lock().values().map(|d| d.total_penalty).fold(0.0, f64::max)
     }
 
-    /// Fraction of contour decisions that fell back to the SpillBound
-    /// procedure because inducing alignment was too expensive.
-    pub fn fallback_fraction(&self) -> f64 {
-        let cache = self.cache.lock();
-        if cache.is_empty() {
+    /// Fraction of contour decisions on `rt`'s surface that fell back to
+    /// the SpillBound procedure because inducing alignment was too
+    /// expensive.
+    pub fn fallback_fraction(&self, rt: &RobustRuntime<'_>) -> f64 {
+        let decisions = rt.memo().ab.lock();
+        if decisions.is_empty() {
             return 0.0;
         }
-        cache.values().filter(|d| d.fallback).count() as f64 / cache.len() as f64
-    }
-
-    /// Compute (or fetch) the contour decision for the current state.
-    fn decision(
-        &self,
-        rt: &RobustRuntime<'_>,
-        band: usize,
-        know: &Knowledge,
-        unlearnt: &BTreeSet<EppId>,
-    ) -> Arc<ContourDecision> {
-        let key = state_key(rt, band, know);
-        if let Some(d) = self.cache.lock().get(&key) {
-            return Arc::clone(d);
-        }
-        let d = Arc::new(compute_decision(rt, band, know, unlearnt));
-        self.cache.lock().insert(key, Arc::clone(&d));
-        d
+        decisions.values().filter(|d| d.fallback).count() as f64 / decisions.len() as f64
     }
 }
 
@@ -245,7 +228,7 @@ fn compute_decision(
 
     // SpillBound's per-dimension choice, reused for native parts and the
     // fallback
-    let sb_choice = contour_choice(rt, band, know, unlearnt);
+    let sb_choice = memo_choice(rt, band, know, unlearnt);
 
     // evaluate every partition of the present dimensions
     let mut best: Option<(f64, f64, Vec<PartExec>)> = None;
@@ -409,7 +392,9 @@ impl Discovery for AlignedBound {
                 );
                 break;
             }
-            let decision = self.decision(rt, band, &know, &unlearnt);
+            let decision = memoise(&rt.memo().ab, state_key(rt, band, &know), || {
+                compute_decision(rt, band, &know, &unlearnt)
+            });
             let mut learnt_exact = false;
             for exec in &decision.execs {
                 // graceful degradation: a quarantined aligned (possibly
@@ -421,7 +406,7 @@ impl Discovery for AlignedBound {
                 let mut budget = exec.budget;
                 let mut ref_cell = exec.reference;
                 if sup.is_quarantined(&node) {
-                    let sb = contour_choice(rt, band, &know, &unlearnt);
+                    let sb = memo_choice(rt, band, &know, &unlearnt);
                     if let Some((cell, plan_id)) = sb.per_dim[exec.dim.0] {
                         let surrogate = rt.plan(plan_id);
                         if !sup.is_quarantined(&surrogate) {

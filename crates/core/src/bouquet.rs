@@ -10,9 +10,9 @@
 
 use crate::knowledge::Knowledge;
 use crate::runtime::RobustRuntime;
+use crate::surface::memoise;
 use crate::trace::{DiscoveryTrace, PlanRef, Step};
 use crate::Discovery;
-use parking_lot::Mutex;
 use rqp_catalog::RqpResult;
 use rqp_ess::{anorexic_reduce, Cell, Ess, PlanId, Reduced};
 use rqp_qplan::PlanNode;
@@ -20,50 +20,66 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Per-contour execution list: distinct plans with their budgets.
-type BandPlans = Arc<Vec<(PlanId, f64)>>;
+pub(crate) type BandPlans = Arc<Vec<(PlanId, f64)>>;
+
+/// The anorexic-reduced diagram PB runs on (the paper always runs PB on
+/// the reduced diagram, λ = 0.2, §6.2).
+struct Anorexic {
+    /// The materialized surface: its plan-id space is the one `reduced`
+    /// and `bands` refer to.
+    ess: Arc<Ess>,
+    reduced: Reduced,
+    /// Per-band execution lists over the reduced assignment, built once at
+    /// construction.
+    bands: Vec<BandPlans>,
+}
 
 /// The PlanBouquet algorithm.
 pub struct PlanBouquet {
-    /// Optional anorexic-reduced cell→plan assignment (the paper always
-    /// runs PB on the reduced diagram, λ = 0.2, §6.2). Reduction needs the
-    /// whole diagram, so the materialized surface rides along: its plan-id
-    /// space is the one `cell_plan` refers to.
-    reduced: Option<(Arc<Ess>, Reduced)>,
-    /// Lazily computed per-band plan lists, keyed by `(surface token,
-    /// band)` — plan ids are surface-relative, so a list built against one
-    /// runtime's surface must not serve a runtime backed by another.
-    bands: Mutex<BTreeMap<(usize, usize), BandPlans>>,
+    /// Optional anorexic-reduced cell→plan assignment. Its reduced-id band
+    /// lists live here; raw PB's lists live in the surface's memo.
+    reduced: Option<Anorexic>,
 }
 
 impl PlanBouquet {
     /// PlanBouquet over the raw (unreduced) POSP diagram. On a lazy
     /// runtime, bands are compiled only as the doubling walk pulls them.
     pub fn new() -> Self {
-        PlanBouquet { reduced: None, bands: Mutex::new(BTreeMap::new()) }
+        PlanBouquet { reduced: None }
     }
 
     /// PlanBouquet over the anorexic-reduced diagram with threshold
     /// `lambda` (paper default 0.2). Reduction inspects the whole plan
-    /// diagram, so this materializes the full surface up front.
+    /// diagram, so this materializes the full surface up front and builds
+    /// every band's execution list.
     ///
     /// # Errors
     /// Propagates a lazy surface's materialization failure.
     pub fn anorexic(rt: &RobustRuntime<'_>, lambda: f64) -> RqpResult<Self> {
         let ess = rt.ess()?;
         let reduced = anorexic_reduce(&ess.posp, &rt.optimizer, lambda);
-        Ok(PlanBouquet { reduced: Some((ess, reduced)), bands: Mutex::new(BTreeMap::new()) })
+        let bands = (0..ess.contours.num_bands())
+            .map(|band| {
+                let plans = ess.contours.cells(band).iter().map(|&cell| {
+                    let plan = reduced.cell_plan[cell];
+                    (plan, ess.posp.cost_of_plan_at(&rt.optimizer, plan, cell))
+                });
+                Arc::new(by_budget(plans))
+            })
+            .collect();
+        Ok(PlanBouquet { reduced: Some(Anorexic { ess, reduced, bands }) })
     }
 
     /// The swallowing threshold in use (0 when unreduced).
     pub fn lambda(&self) -> f64 {
-        self.reduced.as_ref().map_or(0.0, |(_, r)| r.lambda)
+        self.reduced.as_ref().map_or(0.0, |a| a.reduced.lambda)
     }
 
     /// The bouquet cardinality parameter of the MSO guarantee: maximum
     /// plan-density over all contours (ρ, or ρ_red when reduced).
     pub fn rho(&self, rt: &RobustRuntime<'_>) -> usize {
         match &self.reduced {
-            Some((ess, r)) => ess.contours.max_density_with(&r.cell_plan),
+            Some(a) => a.ess.contours.max_density_with(&a.reduced.cell_plan),
             None => (0..rt.num_bands()).map(|b| rt.band_density(b)).max().unwrap_or(0),
         }
     }
@@ -72,7 +88,7 @@ impl PlanBouquet {
     /// id space produced it (the reduced surface's, or the runtime's).
     fn plan_node(&self, rt: &RobustRuntime<'_>, id: PlanId) -> Arc<PlanNode> {
         match &self.reduced {
-            Some((ess, _)) => Arc::clone(ess.posp.plan(id)),
+            Some(a) => Arc::clone(a.ess.posp.plan(id)),
             None => rt.plan(id),
         }
     }
@@ -81,43 +97,35 @@ impl PlanBouquet {
     /// is the maximum of `Cost(P, q)` over the band cells assigned to `P`
     /// (equal to the optimal cost there for the unreduced diagram).
     fn band_plans(&self, rt: &RobustRuntime<'_>, band: usize) -> BandPlans {
-        let key = (rt.surface_token(), band);
-        if let Some(b) = self.bands.lock().get(&key) {
-            return Arc::clone(b);
-        }
-        let mut budgets: BTreeMap<PlanId, f64> = BTreeMap::new();
         match &self.reduced {
-            Some((ess, r)) => {
-                for &cell in ess.contours.cells(band) {
-                    let plan = r.cell_plan[cell];
-                    let cost = ess.posp.cost_of_plan_at(&rt.optimizer, plan, cell);
-                    let e = budgets.entry(plan).or_insert(0.0);
-                    if cost > *e {
-                        *e = cost;
-                    }
-                }
-            }
-            None => {
-                for &cell in rt.band_cells(band).iter() {
-                    let plan = rt.plan_id_at(cell);
-                    let cost = rt.oracle_cost(cell);
-                    let e = budgets.entry(plan).or_insert(0.0);
-                    if cost > *e {
-                        *e = cost;
-                    }
-                }
-            }
+            Some(a) => Arc::clone(&a.bands[band]),
+            None => memoise(&rt.memo().pb, band, || {
+                by_budget(
+                    rt.band_cells(band)
+                        .iter()
+                        .map(|&cell| (rt.plan_id_at(cell), rt.oracle_cost(cell))),
+                )
+            }),
         }
-        // Execute cheap probes first. Budget order is surface-independent
-        // — plan ids are not (eager ids follow cell-index order, lazy ids
-        // flood order), so iterating by id would make contour-wise
-        // execution depend on which surface compiled the band.
-        let mut list: Vec<(PlanId, f64)> = budgets.into_iter().collect();
-        list.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let list: BandPlans = Arc::new(list);
-        self.bands.lock().insert(key, Arc::clone(&list));
-        list
     }
+}
+
+/// Distinct plans of `(plan, cost)` pairs, each with its maximum cost as
+/// budget, in ascending budget order. Execute cheap probes first. Budget
+/// order is surface-independent — plan ids are not (eager ids follow
+/// cell-index order, lazy ids flood order), so iterating by id would make
+/// contour-wise execution depend on which surface compiled the band.
+fn by_budget(plans: impl Iterator<Item = (PlanId, f64)>) -> Vec<(PlanId, f64)> {
+    let mut budgets: BTreeMap<PlanId, f64> = BTreeMap::new();
+    for (plan, cost) in plans {
+        let e = budgets.entry(plan).or_insert(0.0);
+        if cost > *e {
+            *e = cost;
+        }
+    }
+    let mut list: Vec<(PlanId, f64)> = budgets.into_iter().collect();
+    list.sort_by(|a, b| a.1.total_cmp(&b.1));
+    list
 }
 
 impl Default for PlanBouquet {
@@ -263,22 +271,12 @@ pub(crate) fn bouquet_endgame(
         // keep the next band flooding while this one's plans execute
         rt.prefetch_band(band + 1);
         // distinct plans on the effective slice of this band, with budgets
-        let mut budgets: BTreeMap<PlanId, f64> = BTreeMap::new();
-        for &cell in rt.band_cells(band).iter() {
-            if !know.matches_exact(grid, cell) {
-                continue;
-            }
-            let plan = rt.plan_id_at(cell);
-            let cost = rt.oracle_cost(cell);
-            let e = budgets.entry(plan).or_insert(0.0);
-            if cost > *e {
-                *e = cost;
-            }
-        }
-        // ascending budget, not id order — see `band_plans`: ids are
-        // surface-relative, budgets are not
-        let mut plans: Vec<(PlanId, f64)> = budgets.into_iter().collect();
-        plans.sort_by(|a, b| a.1.total_cmp(&b.1));
+        let plans = by_budget(
+            rt.band_cells(band)
+                .iter()
+                .filter(|&&cell| know.matches_exact(grid, cell))
+                .map(|&cell| (rt.plan_id_at(cell), rt.oracle_cost(cell))),
+        );
         for (plan_id, budget) in plans {
             rt.debug_check_band_budget(band, budget);
             let plan = rt.plan(plan_id);
@@ -371,6 +369,55 @@ mod tests {
             let t = red.discover(&rt, qa);
             assert!(t.steps.last().unwrap().completed);
             assert!(t.subopt() >= 1.0 - 1e-9);
+        }
+    }
+
+    /// Per step: band, plan label, budget and spend bits; then the total.
+    fn signature(t: &DiscoveryTrace) -> (Vec<(usize, String, u64, u64)>, u64) {
+        let steps = t
+            .steps
+            .iter()
+            .map(|s| (s.band, s.plan.to_string(), s.budget.to_bits(), s.spent.to_bits()))
+            .collect();
+        (steps, t.total_cost.to_bits())
+    }
+
+    #[test]
+    fn raw_and_anorexic_bouquets_do_not_share_band_lists() {
+        let (catalog, query) = example_2d();
+        let cells: Vec<Cell> = runtime(&catalog, &query).grid().cells().collect();
+        // each variant alone, on a runtime of its own
+        let alone = |anorexic: bool| -> Vec<_> {
+            let rt = runtime(&catalog, &query);
+            let pb = if anorexic {
+                PlanBouquet::anorexic(&rt, 0.2).unwrap()
+            } else {
+                PlanBouquet::new()
+            };
+            cells.iter().map(|&qa| signature(&pb.discover(&rt, qa))).collect()
+        };
+        let (raw_alone, red_alone) = (alone(false), alone(true));
+        assert_ne!(raw_alone, red_alone, "the reduction must change some trace here");
+        // both on one runtime (one surface memo), in either order
+        for raw_first in [true, false] {
+            let rt = runtime(&catalog, &query);
+            let raw = PlanBouquet::new();
+            let red = PlanBouquet::anorexic(&rt, 0.2).unwrap();
+            let order: [(&PlanBouquet, &Vec<_>); 2] = if raw_first {
+                [(&raw, &raw_alone), (&red, &red_alone)]
+            } else {
+                [(&red, &red_alone), (&raw, &raw_alone)]
+            };
+            for (pb, want) in order {
+                let got: Vec<_> =
+                    cells.iter().map(|&qa| signature(&pb.discover(&rt, qa))).collect();
+                assert_eq!(
+                    &got,
+                    want,
+                    "{} moved beside its twin (raw first: {raw_first})",
+                    pb.name()
+                );
+            }
         }
     }
 

@@ -37,6 +37,7 @@ pub mod reopt;
 pub mod runtime;
 pub mod spillbound;
 pub mod supervise;
+pub mod surface;
 pub mod trace;
 
 pub use advisor::{advise, Advice, Recommendation};
@@ -52,6 +53,7 @@ pub use reopt::ReOptimizer;
 pub use runtime::RobustRuntime;
 pub use spillbound::SpillBound;
 pub use supervise::{RetryPolicy, Supervisor, SupervisorStats};
+pub use surface::SharedSurface;
 pub use trace::{DiscoveryTrace, ExecMode, PlanRef, Step};
 
 use rqp_ess::Cell;

@@ -156,4 +156,6 @@ pub fn register_metrics() {
     let _ = g.counter(names::SUPERVISOR_QUARANTINES);
     let _ = g.counter(names::SUPERVISOR_LAST_RESORT);
     let _ = g.counter(names::SUPERVISOR_DEADLINE_STOPS);
+    let _ = g.counter(names::CORE_CONTOUR_MEMO_HITS);
+    let _ = g.counter(names::CORE_CONTOUR_MEMO_MISSES);
 }

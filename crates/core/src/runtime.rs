@@ -1,26 +1,12 @@
 //! The shared runtime every robust algorithm executes against.
 
+use crate::surface::{ContourMemo, SharedSurface, Surface};
 use rqp_catalog::{Catalog, Estimator, Query, RqpError, RqpResult, SelVector};
 use rqp_ess::{Cell, Ess, EssConfig, Grid, LazyEss, PlanId};
 use rqp_executor::Engine;
 use rqp_optimizer::Optimizer;
 use rqp_qplan::{CostModel, PlanNode};
 use std::sync::Arc;
-
-/// The compiled selectivity surface a runtime executes against: either a
-/// finished [`Ess`] (read without any lock) or a [`LazyEss`] that
-/// materializes contour bands on demand behind its frontier mutex. Discovery
-/// algorithms only talk to the [`RobustRuntime`] facade, so they pull
-/// bands as the doubling walk reaches them — a discovery that terminates
-/// on contour `k` never pays for compiling bands above `k`.
-enum Surface {
-    /// A fully compiled surface (shared across sessions by the serve
-    /// registry).
-    Eager(Arc<Ess>),
-    /// A band-by-band anytime surface; bands above the compile frontier
-    /// are costed only when something asks for them.
-    Lazy(Arc<LazyEss>),
-}
 
 /// A query admitted for robust processing: catalog, query, optimizer,
 /// simulated execution engine, and the compiled ESS (POSP + contours).
@@ -33,9 +19,10 @@ enum Surface {
 /// only the two ladder anchors are costed up front and each contour band
 /// is flooded the first time discovery (or a prefetch) asks for it.
 ///
-/// The surface is held behind an [`Arc`] so many concurrent sessions (the
-/// `rqp-serve` registry) can share one compiled surface; discovery runs
-/// only read it, so sharing is free.
+/// The surface is held through a [`SharedSurface`] handle so many
+/// concurrent sessions (the `rqp-serve` registry) can share one compiled
+/// surface and the contour decisions derived from it; discovery runs only
+/// read the surface and fill the memo, so sharing is free.
 pub struct RobustRuntime<'a> {
     /// Catalog statistics.
     pub catalog: &'a Catalog,
@@ -45,8 +32,9 @@ pub struct RobustRuntime<'a> {
     pub optimizer: Optimizer<'a>,
     /// The simulated execution engine.
     pub engine: Engine<'a>,
-    /// The compiled (or lazily compiling) error-prone selectivity space.
-    surface: Surface,
+    /// The compiled (or lazily compiling) error-prone selectivity space
+    /// and its contour-decision memo.
+    surface: SharedSurface,
     /// The native optimizer's estimated ESS location `qe`, computed once at
     /// admission so run-time discovery never has to re-estimate (and never
     /// has to handle estimation failure).
@@ -74,7 +62,7 @@ impl<'a> RobustRuntime<'a> {
         config: EssConfig,
     ) -> RqpResult<Self> {
         Self::admit(catalog, query, model, |optimizer| {
-            Ok(Surface::Eager(Arc::new(Ess::compile(optimizer, config)?)))
+            Ok(SharedSurface::eager(Arc::new(Ess::compile(optimizer, config)?)))
         })
     }
 
@@ -89,58 +77,52 @@ impl<'a> RobustRuntime<'a> {
         config: EssConfig,
     ) -> RqpResult<Self> {
         Self::admit(catalog, query, model, |optimizer| {
-            Ok(Surface::Lazy(LazyEss::begin(optimizer, config)?))
+            Ok(SharedSurface::lazy(LazyEss::begin(optimizer, config)?))
         })
     }
 
-    /// Admit a session against an ESS compiled elsewhere (the serve
-    /// registry's shared, fingerprint-keyed surfaces). The ESS must have
+    /// Admit a session against a surface compiled elsewhere (the serve
+    /// registry's shared, fingerprint-keyed handles). The surface must have
     /// been compiled for this same (catalog, query, model) triple; the
     /// dimension check below catches gross mismatches, the fingerprint
-    /// keying upstream is what guarantees the rest.
+    /// keying upstream is what guarantees the rest. Sessions admitted on
+    /// clones of one handle share its contour-decision memo; on a lazy
+    /// handle they also share one frontier, and each session's discovery
+    /// walk only waits for the bands it actually pulls.
+    pub fn with_surface(
+        catalog: &'a Catalog,
+        query: &'a Query,
+        model: CostModel,
+        surface: SharedSurface,
+    ) -> RqpResult<Self> {
+        Self::admit(catalog, query, model, |_| {
+            let got = match &surface.surface {
+                Surface::Eager(ess) => ess.grid().dims(),
+                Surface::Lazy(lazy) => lazy.grid().dims(),
+            };
+            if got != query.dims() {
+                return Err(RqpError::DimensionMismatch { expected: query.dims(), got });
+            }
+            Ok(surface)
+        })
+    }
+
+    /// [`RobustRuntime::with_surface`] on a fresh handle over `ess` (an
+    /// empty contour-decision memo).
     pub fn with_shared_ess(
         catalog: &'a Catalog,
         query: &'a Query,
         model: CostModel,
         ess: Arc<Ess>,
     ) -> RqpResult<Self> {
-        Self::admit(catalog, query, model, |_| {
-            if ess.grid().dims() != query.dims() {
-                return Err(RqpError::DimensionMismatch {
-                    expected: query.dims(),
-                    got: ess.grid().dims(),
-                });
-            }
-            Ok(Surface::Eager(ess))
-        })
-    }
-
-    /// Admit a session against a lazy surface compiling elsewhere (the
-    /// serve registry's incremental snapshots): peers share one frontier,
-    /// and each session's discovery walk only waits for the bands it
-    /// actually pulls.
-    pub fn with_shared_lazy(
-        catalog: &'a Catalog,
-        query: &'a Query,
-        model: CostModel,
-        lazy: Arc<LazyEss>,
-    ) -> RqpResult<Self> {
-        Self::admit(catalog, query, model, |_| {
-            if lazy.grid().dims() != query.dims() {
-                return Err(RqpError::DimensionMismatch {
-                    expected: query.dims(),
-                    got: lazy.grid().dims(),
-                });
-            }
-            Ok(Surface::Lazy(lazy))
-        })
+        Self::with_surface(catalog, query, model, SharedSurface::eager(ess))
     }
 
     fn admit(
         catalog: &'a Catalog,
         query: &'a Query,
         model: CostModel,
-        surface_for: impl FnOnce(&Optimizer<'a>) -> RqpResult<Surface>,
+        surface_for: impl FnOnce(&Optimizer<'a>) -> RqpResult<SharedSurface>,
     ) -> RqpResult<Self> {
         if query.dims() < 1 {
             return Err(RqpError::InvalidQuery(format!(
@@ -155,7 +137,7 @@ impl<'a> RobustRuntime<'a> {
         let surface = surface_for(&optimizer)?;
         // a lazy surface has no finished contour set to check yet; its
         // bands are checked incrementally as the budget checks fire
-        if let Surface::Eager(ess) = &surface {
+        if let Some(ess) = surface.as_eager() {
             crate::invariants::debug_check_contours(ess);
         }
         Ok(RobustRuntime {
@@ -182,12 +164,12 @@ impl<'a> RobustRuntime<'a> {
 
     /// Whether the surface is still compiling lazily.
     pub fn is_lazy(&self) -> bool {
-        matches!(self.surface, Surface::Lazy(_))
+        self.surface.as_lazy().is_some()
     }
 
     /// The ESS discretization grid.
     pub fn grid(&self) -> &Grid {
-        match &self.surface {
+        match &self.surface.surface {
             Surface::Eager(ess) => ess.grid(),
             Surface::Lazy(lazy) => lazy.grid(),
         }
@@ -195,7 +177,7 @@ impl<'a> RobustRuntime<'a> {
 
     /// Number of iso-cost contour bands, `m`.
     pub fn num_bands(&self) -> usize {
-        match &self.surface {
+        match &self.surface.surface {
             Surface::Eager(ess) => ess.contours.num_bands(),
             Surface::Lazy(lazy) => lazy.num_bands(),
         }
@@ -203,7 +185,7 @@ impl<'a> RobustRuntime<'a> {
 
     /// Lower cost edge `CC_band` of a contour band.
     pub fn contour_cost(&self, band: usize) -> f64 {
-        match &self.surface {
+        match &self.surface.surface {
             Surface::Eager(ess) => ess.contours.cc(band),
             Surface::Lazy(lazy) => lazy.cc(band),
         }
@@ -211,7 +193,7 @@ impl<'a> RobustRuntime<'a> {
 
     /// The contour doubling ratio `r`.
     pub fn contour_ratio(&self) -> f64 {
-        match &self.surface {
+        match &self.surface.surface {
             Surface::Eager(ess) => ess.contours.ratio,
             Surface::Lazy(lazy) => lazy.ratio(),
         }
@@ -220,7 +202,7 @@ impl<'a> RobustRuntime<'a> {
     /// The band a cell belongs to. On a lazy surface this is a memoized
     /// single-cell peek, never a band compile.
     pub fn band_of(&self, cell: Cell) -> usize {
-        match &self.surface {
+        match &self.surface.surface {
             Surface::Eager(ess) => ess.contours.band_of(cell),
             Surface::Lazy(lazy) => lazy.band_of(cell),
         }
@@ -230,7 +212,7 @@ impl<'a> RobustRuntime<'a> {
     /// surface this compiles through `band` first — the discovery walk's
     /// pull point.
     pub fn band_cells(&self, band: usize) -> Arc<Vec<Cell>> {
-        match &self.surface {
+        match &self.surface.surface {
             Surface::Eager(ess) => ess.contours.cells_arc(band),
             Surface::Lazy(lazy) => lazy.band_cells(band),
         }
@@ -238,7 +220,7 @@ impl<'a> RobustRuntime<'a> {
 
     /// Number of distinct plans on a contour band (plan density).
     pub fn band_density(&self, band: usize) -> usize {
-        match &self.surface {
+        match &self.surface.surface {
             Surface::Eager(ess) => ess.contours.density(&ess.posp, band),
             Surface::Lazy(lazy) => {
                 let cells = lazy.band_cells(band);
@@ -253,7 +235,7 @@ impl<'a> RobustRuntime<'a> {
     /// Contour bands the surface has materialized so far (always
     /// `num_bands` for an eager surface).
     pub fn bands_compiled(&self) -> usize {
-        match &self.surface {
+        match &self.surface.surface {
             Surface::Eager(ess) => ess.contours.num_bands(),
             Surface::Lazy(lazy) => lazy.bands_compiled(),
         }
@@ -262,7 +244,7 @@ impl<'a> RobustRuntime<'a> {
     /// Ask a background task to compile through `band` while the caller
     /// keeps executing on lower bands (no-op on an eager surface).
     pub fn prefetch_band(&self, band: usize) {
-        if let Surface::Lazy(lazy) = &self.surface {
+        if let Some(lazy) = self.surface.as_lazy() {
             lazy.prefetch(band);
         }
     }
@@ -270,7 +252,7 @@ impl<'a> RobustRuntime<'a> {
     /// Oracle cost `Cost(P_qa, qa)` for a grid cell. On a lazy surface a
     /// memoized single-cell peek.
     pub fn oracle_cost(&self, qa: Cell) -> f64 {
-        match &self.surface {
+        match &self.surface.surface {
             Surface::Eager(ess) => ess.posp.cost(qa),
             Surface::Lazy(lazy) => lazy.cost(qa),
         }
@@ -280,7 +262,7 @@ impl<'a> RobustRuntime<'a> {
     /// surface; a lazy surface's ids live in its own discovery-order space
     /// until [`RobustRuntime::ess`] canonicalizes them.
     pub fn plan_id_at(&self, cell: Cell) -> PlanId {
-        match &self.surface {
+        match &self.surface.surface {
             Surface::Eager(ess) => ess.posp.plan_id(cell),
             Surface::Lazy(lazy) => lazy.plan_id_at(cell),
         }
@@ -288,7 +270,7 @@ impl<'a> RobustRuntime<'a> {
 
     /// The plan with a surface plan id.
     pub fn plan(&self, id: PlanId) -> Arc<PlanNode> {
-        match &self.surface {
+        match &self.surface.surface {
             Surface::Eager(ess) => Arc::clone(ess.posp.plan(id)),
             Surface::Lazy(lazy) => lazy.plan(id),
         }
@@ -296,7 +278,7 @@ impl<'a> RobustRuntime<'a> {
 
     /// Cost of an arbitrary surface plan at an arbitrary cell.
     pub fn plan_cost_at(&self, id: PlanId, cell: Cell) -> f64 {
-        match &self.surface {
+        match &self.surface.surface {
             Surface::Eager(ess) => ess.posp.cost_of_plan_at(&self.optimizer, id, cell),
             Surface::Lazy(lazy) => {
                 let plan = lazy.plan(id);
@@ -305,22 +287,16 @@ impl<'a> RobustRuntime<'a> {
         }
     }
 
-    /// An opaque identity for the underlying surface. Plan ids are
-    /// surface-relative (eager surfaces number plans in cell-index order,
-    /// lazy surfaces in flood-discovery order), so per-algorithm memo
-    /// caches must never reuse a decision holding plan ids across
-    /// runtimes backed by different surfaces — they key on this token.
-    pub fn surface_token(&self) -> usize {
-        match &self.surface {
-            Surface::Eager(ess) => Arc::as_ptr(ess) as usize,
-            Surface::Lazy(lazy) => Arc::as_ptr(lazy) as *const () as usize,
-        }
+    /// The contour-decision memo of the surface this runtime executes
+    /// against.
+    pub(crate) fn memo(&self) -> &ContourMemo {
+        &self.surface.memo
     }
 
     /// Every plan id the surface has discovered so far (the full POSP pool
     /// for an eager surface; the pool grows as a lazy surface compiles).
     pub fn plan_pool(&self) -> Vec<PlanId> {
-        match &self.surface {
+        match &self.surface.surface {
             Surface::Eager(ess) => ess.posp.registry().iter().map(|(id, _)| id).collect(),
             Surface::Lazy(lazy) => lazy.plan_pool(),
         }
@@ -345,7 +321,7 @@ impl<'a> RobustRuntime<'a> {
     /// snapshot capture, worst-case sweeps — pay the full compile exactly
     /// once, here.
     pub fn ess(&self) -> RqpResult<Arc<Ess>> {
-        match &self.surface {
+        match &self.surface.surface {
             Surface::Eager(ess) => Ok(Arc::clone(ess)),
             Surface::Lazy(lazy) => lazy.finish(),
         }
@@ -480,9 +456,8 @@ mod tests {
         assert!(t.steps.last().unwrap().completed);
         // the origin lies on the first contour: the walk must not have
         // pulled bands anywhere near the top of the ladder
-        let Surface::Lazy(lazy) = &rt.surface else { panic!("lazy runtime") };
         assert!(
-            lazy.bands_compiled() < rt.num_bands(),
+            rt.bands_compiled() < rt.num_bands(),
             "origin discovery compiled all {} bands",
             rt.num_bands()
         );

@@ -21,20 +21,20 @@
 use crate::bouquet::bouquet_endgame;
 use crate::knowledge::Knowledge;
 use crate::runtime::RobustRuntime;
+use crate::surface::memoise;
 use crate::trace::{DiscoveryTrace, PlanRef};
 use crate::Discovery;
-use parking_lot::Mutex;
 use rqp_catalog::EppId;
 use rqp_ess::{Cell, PlanId};
 use rqp_qplan::pipeline::spill_target;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Cache key for per-contour plan choices: the surface token, the band and
-/// the exactly-learnt `(dimension, grid coordinate)` pairs. Plan ids are
-/// surface-relative, so a choice memoized against one surface must never
-/// leak to a runtime backed by another — the token keeps them apart.
-pub(crate) type StateKey = (usize, usize, Vec<(usize, usize)>);
+/// Memo key for per-contour decisions: the band and the exactly-learnt
+/// `(dimension, grid coordinate)` pairs. The memo belongs to one surface
+/// (see [`crate::surface::ContourMemo`]), so the key needs no surface
+/// identity.
+pub(crate) type StateKey = (usize, Vec<(usize, usize)>);
 
 /// Per-contour choice: for each dimension, the maximal-learning cell and
 /// its plan (`(q^j_max, P^j_max)`), if any contour plan spills on `j`.
@@ -51,7 +51,7 @@ pub(crate) fn state_key(rt: &RobustRuntime<'_>, band: usize, know: &Knowledge) -
             learnt.push((d, grid.snap_ceil(d, v)));
         }
     }
-    (rt.surface_token(), band, learnt)
+    (band, learnt)
 }
 
 /// Compute `(q^j_max, P^j_max)` for every unlearnt dimension on the
@@ -82,42 +82,35 @@ pub(crate) fn contour_choice(
     ContourChoice { per_dim }
 }
 
+/// [`contour_choice`] through the surface's memo.
+pub(crate) fn memo_choice(
+    rt: &RobustRuntime<'_>,
+    band: usize,
+    know: &Knowledge,
+    unlearnt: &BTreeSet<EppId>,
+) -> Arc<ContourChoice> {
+    memoise(&rt.memo().sb, state_key(rt, band, know), || contour_choice(rt, band, know, unlearnt))
+}
+
 /// The SpillBound algorithm.
 pub struct SpillBound {
     /// Refine lower bounds by bisection on budget expiry (richer traces,
     /// slower); the guarantees only need the coarse `qa.j > q.j` learning.
     pub refine_bounds: bool,
-    cache: Mutex<HashMap<StateKey, Arc<ContourChoice>>>,
 }
 
 impl SpillBound {
     /// SpillBound with coarse (guaranteed) learning — the default for
     /// exhaustive evaluation.
     pub fn new() -> Self {
-        SpillBound { refine_bounds: false, cache: Mutex::new(HashMap::new()) }
+        SpillBound { refine_bounds: false }
     }
 
     /// SpillBound with bisection-refined bound learning, matching what a
     /// selectivity monitor would actually observe. Produces the
     /// Manhattan-profile traces of Fig. 7 / Table 3.
     pub fn with_refined_bounds() -> Self {
-        SpillBound { refine_bounds: true, cache: Mutex::new(HashMap::new()) }
-    }
-
-    fn choice(
-        &self,
-        rt: &RobustRuntime<'_>,
-        band: usize,
-        know: &Knowledge,
-        unlearnt: &BTreeSet<EppId>,
-    ) -> Arc<ContourChoice> {
-        let key = state_key(rt, band, know);
-        if let Some(c) = self.cache.lock().get(&key) {
-            return Arc::clone(c);
-        }
-        let c = Arc::new(contour_choice(rt, band, know, unlearnt));
-        self.cache.lock().insert(key, Arc::clone(&c));
-        c
+        SpillBound { refine_bounds: true }
     }
 }
 
@@ -166,7 +159,7 @@ impl Discovery for SpillBound {
                 );
                 break;
             }
-            let choice = self.choice(rt, band, &know, &unlearnt);
+            let choice = memo_choice(rt, band, &know, &unlearnt);
             let mut learnt_exact = false;
             for &j in &unlearnt {
                 let Some((cell, plan_id)) = choice.per_dim[j.0] else {

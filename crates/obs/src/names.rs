@@ -109,6 +109,12 @@ pub const DISCOVERY_BAND_SECONDS: &str = "rqp_discovery_band_seconds";
 /// Labelled counter base: half-space pruning steps (band promotions on a
 /// learned lower bound).
 pub const DISCOVERY_HALF_SPACE_PRUNES: &str = "rqp_discovery_half_space_prunes_total";
+/// Counter: contour decisions (SB choices, AB partitions, PB band lists)
+/// served from a surface's shared memo.
+pub const CORE_CONTOUR_MEMO_HITS: &str = "rqp_core_contour_memo_hits_total";
+/// Counter: contour decisions computed because the surface's memo had no
+/// entry for the band and learnt state yet.
+pub const CORE_CONTOUR_MEMO_MISSES: &str = "rqp_core_contour_memo_misses_total";
 /// Labelled gauge base: worst-case suboptimality per algorithm.
 pub const EVAL_MSO: &str = "rqp_eval_mso";
 /// Labelled gauge base: average suboptimality per algorithm.

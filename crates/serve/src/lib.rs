@@ -71,10 +71,9 @@ pub mod wire;
 
 pub use drill::{crash_recover_drill, storm_drill, DrillReport};
 pub use obs::register_metrics;
-pub use registry::{
-    BreakerConfig, BreakerPhase, BreakerState, EssRegistry, Lookup, RegistryStats, SharedSurface,
-};
+pub use registry::{BreakerConfig, BreakerPhase, BreakerState, EssRegistry, Lookup, RegistryStats};
 pub use report::{GroupStats, ServeReport};
+pub use rqp_core::SharedSurface;
 pub use server::{serve_workload, ServeConfig, Server, SessionUpdate, UpdateSink};
 pub use session::{
     algo_by_name, resolve_qa, session_fingerprint, SessionOutcome, SessionResult, SessionSpec,

@@ -29,11 +29,15 @@
 //! waiters — a chaotic session can never poison the shared registry.
 //!
 //! The caller's compile closure decides what is published. A finished
-//! [`Ess`] is the usual case. An anytime server publishes a shared
-//! [`LazyEss`] instead: the single-flight window shrinks from the whole
-//! grid to just the ladder anchors, and each peer then pulls (and waits
-//! on) only the contour bands its own discovery reaches — a session
-//! terminating at contour `k` never waits for bands above `k`.
+//! [`rqp_ess::Ess`] is the usual case. An anytime server publishes a
+//! shared [`rqp_ess::LazyEss`] instead: the single-flight window shrinks
+//! from the whole grid to just the ladder anchors, and each peer then
+//! pulls (and waits on) only the contour bands its own discovery reaches —
+//! a session terminating at contour `k` never waits for bands above `k`.
+//! Either way the entry is a [`SharedSurface`] handle, so every session
+//! served from it also shares the contour decisions (SB/AB/PB per-band
+//! choices) earlier sessions memoised; a surface published anew — after a
+//! wipe, a breaker re-probe or a disk restore — starts with an empty memo.
 //!
 //! When constructed [`EssRegistry::with_cache`], the registry adds a
 //! **read-through / write-behind disk tier**: a miss first consults the
@@ -45,7 +49,8 @@
 use crate::obs::metrics;
 use rqp_catalog::{RqpError, RqpResult};
 use rqp_chaos::{CompileFault, CompileFaultInjector, CompileSeam};
-use rqp_ess::{CompileCache, Ess, LazyEss, PospSnapshot};
+use rqp_core::SharedSurface;
+use rqp_ess::{CompileCache, PospSnapshot};
 use rqp_obs::Deadline;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,27 +90,6 @@ impl Lookup {
             "waited" => Some(Lookup::Waited),
             "restored" => Some(Lookup::Restored),
             _ => None,
-        }
-    }
-}
-
-/// A surface shared out of the registry: either a finished eager ESS or a
-/// lazily materializing anytime surface whose contour bands compile as
-/// sessions pull them. Clones of the lazy arm share one frontier, so a
-/// band any session materializes is materialized for every peer.
-#[derive(Clone)]
-pub enum SharedSurface {
-    /// A fully compiled surface.
-    Eager(Arc<Ess>),
-    /// An anytime surface still materializing band-by-band.
-    Lazy(Arc<LazyEss>),
-}
-
-impl std::fmt::Debug for SharedSurface {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SharedSurface::Eager(_) => f.write_str("SharedSurface::Eager"),
-            SharedSurface::Lazy(lazy) => f.debug_tuple("SharedSurface::Lazy").field(lazy).finish(),
         }
     }
 }
@@ -571,14 +555,20 @@ impl EssRegistry {
 
     /// Read-through the persistent tier under an armed claim: a restorable
     /// full snapshot publishes `Ready` and short-circuits the compile.
-    fn try_restore(&self, fp: u64, claim: Claim, guard: &mut PendingGuard<'_>) -> Option<Arc<Ess>> {
+    fn try_restore(
+        &self,
+        fp: u64,
+        claim: Claim,
+        guard: &mut PendingGuard<'_>,
+    ) -> Option<SharedSurface> {
         let cache = self.cache.as_ref()?;
         self.strike_cache_load(fp);
         let ess = Arc::new(cache.load(fp).and_then(|snap| snap.restore().ok())?);
+        let surface = SharedSurface::eager(ess);
         let shard = self.shard(fp);
         let mut map = shard.lock();
         guard.armed = false;
-        map.insert(fp, Entry::Ready(SharedSurface::Eager(Arc::clone(&ess))));
+        map.insert(fp, Entry::Ready(surface.clone()));
         drop(map);
         shard.published.notify_all();
         self.disk_hits.fetch_add(1, Ordering::Relaxed);
@@ -586,7 +576,7 @@ impl EssRegistry {
         if matches!(claim, Claim::Probe { .. }) {
             self.close_breaker(fp);
         }
-        Some(ess)
+        Some(surface)
     }
 
     /// Fetch the surface for `fp`, compiling it with `compile` if this is
@@ -629,9 +619,9 @@ impl EssRegistry {
         // Read-through: a fresh fingerprint (or a re-probe after cache
         // corruption) may be restorable from the persistent tier without
         // paying a compile at all — the warm-restart recovery path.
-        if let Some(ess) = self.try_restore(fp, claim, &mut guard) {
+        if let Some(surface) = self.try_restore(fp, claim, &mut guard) {
             self.record_wait(fp, wait_sw);
-            return Ok((SharedSurface::Eager(ess), Lookup::Restored));
+            return Ok((surface, Lookup::Restored));
         }
         self.compiles.fetch_add(1, Ordering::Relaxed);
         m.registry_misses.inc();
@@ -648,7 +638,7 @@ impl EssRegistry {
                 }
                 // Write-behind: persist outside every lock; a store failure
                 // only costs the next restart a recompile.
-                if let (Some(cache), SharedSurface::Eager(ess)) = (&self.cache, &surface) {
+                if let (Some(cache), Some(ess)) = (&self.cache, surface.as_eager()) {
                     // rqp-lint: allow(swallowed-result): best-effort write-behind persistence; a store failure only costs a recompile
                     let _ = cache.store(fp, &PospSnapshot::capture(ess));
                 }
@@ -747,7 +737,7 @@ impl EssRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rqp_ess::EssConfig;
+    use rqp_ess::{Ess, EssConfig, LazyEss};
     use rqp_optimizer::Optimizer;
     use rqp_qplan::CostModel;
     use rqp_workloads::Workload;
@@ -757,7 +747,7 @@ mod tests {
         let opt = Optimizer::new(&w.catalog, &w.query, CostModel::default());
         let ess =
             Ess::compile_cached(&opt, EssConfig { resolution: 6, ..Default::default() }, None)?;
-        Ok(SharedSurface::Eager(Arc::new(ess)))
+        Ok(SharedSurface::eager(Arc::new(ess)))
     }
 
     /// A breaker config with a backoff short enough for tests but long
@@ -777,7 +767,7 @@ mod tests {
             reg.get_or_compile(42, Deadline::none(), || panic!("must not recompile")).unwrap();
         assert_eq!(l1, Lookup::Compiled);
         assert_eq!(l2, Lookup::Hit);
-        let (SharedSurface::Eager(a), SharedSurface::Eager(b)) = (&a, &b) else {
+        let (Some(a), Some(b)) = (a.as_eager(), b.as_eager()) else {
             panic!("expected two finished surfaces");
         };
         assert!(Arc::ptr_eq(a, b));
@@ -899,7 +889,7 @@ mod tests {
         let w = Workload::q91(2)?;
         let opt = Optimizer::new(&w.catalog, &w.query, CostModel::default());
         let lazy = LazyEss::begin(&opt, EssConfig { resolution: 6, ..Default::default() })?;
-        Ok(SharedSurface::Lazy(lazy))
+        Ok(SharedSurface::lazy(lazy))
     }
 
     #[test]
@@ -910,7 +900,7 @@ mod tests {
             reg.get_or_compile(21, Deadline::none(), || panic!("must not begin again")).unwrap();
         assert_eq!(l1, Lookup::Compiled);
         assert_eq!(l2, Lookup::Hit);
-        let (SharedSurface::Lazy(a), SharedSurface::Lazy(b)) = (&s1, &s2) else {
+        let (Some(a), Some(b)) = (s1.as_lazy(), s2.as_lazy()) else {
             panic!("expected two lazy surfaces");
         };
         assert!(Arc::ptr_eq(a, b), "peers must share one frontier");
@@ -945,7 +935,7 @@ mod tests {
         reg.wipe();
         assert!(reg.is_empty());
         // a session that already held the Arc keeps working after the wipe
-        if let SharedSurface::Lazy(lazy) = s {
+        if let Some(lazy) = s.as_lazy() {
             lazy.compile_through(0);
             assert!(lazy.bands_compiled() >= 1);
         }

@@ -12,12 +12,12 @@
 //! joins them. Sessions admitted before the close are never dropped.
 
 use crate::obs::metrics;
-use crate::registry::{BreakerConfig, EssRegistry, SharedSurface};
+use crate::registry::{BreakerConfig, EssRegistry};
 use crate::report::ServeReport;
 use crate::session::{algo_by_name, name_digest, SessionOutcome, SessionResult, SessionSpec};
 use rqp_catalog::{Estimator, RqpError, RqpResult};
 use rqp_chaos::{CompileFaultConfig, CompileFaultPlan, FaultConfig, FaultPlan};
-use rqp_core::RobustRuntime;
+use rqp_core::{RobustRuntime, SharedSurface};
 use rqp_ess::{compile_fingerprint, CompileCache, Ess, EssConfig, Grid, LazyEss};
 use rqp_executor::Engine;
 use rqp_obs::{names, Deadline};
@@ -548,12 +548,12 @@ fn run_session_inner(inner: &Inner, queued: Queued) -> SessionResult {
             if inner.config.lazy {
                 // Anytime serving: publish after the ladder anchors only;
                 // this session (and its peers) pull bands on demand.
-                LazyEss::begin(&optimizer, cfg).map(SharedSurface::Lazy)
+                LazyEss::begin(&optimizer, cfg).map(SharedSurface::lazy)
             } else {
                 // The registry's disk tier is the only cache: this compile
                 // must not also read or write the process-wide one.
                 let ess = Ess::compile_cached(&optimizer, cfg, None)?;
-                Ok(SharedSurface::Eager(Arc::new(ess)))
+                Ok(SharedSurface::eager(Arc::new(ess)))
             }
         })
     }))
@@ -575,15 +575,7 @@ fn run_session_inner(inner: &Inner, queued: Queued) -> SessionResult {
     };
     result.lookup = Some(how);
     notify(sink.as_ref(), || SessionUpdate::Surface { id: spec.id, lookup: how });
-    let rt = match surface {
-        SharedSurface::Eager(ess) => {
-            RobustRuntime::with_shared_ess(&w.catalog, &w.query, model, ess)
-        }
-        SharedSurface::Lazy(lazy) => {
-            RobustRuntime::with_shared_lazy(&w.catalog, &w.query, model, lazy)
-        }
-    };
-    let mut rt = match rt {
+    let mut rt = match RobustRuntime::with_surface(&w.catalog, &w.query, model, surface) {
         Ok(rt) => rt,
         Err(e) => return finish(result, SessionOutcome::Failed(e.to_string())),
     };

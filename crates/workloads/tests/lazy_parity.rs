@@ -8,12 +8,11 @@
 //! flood-discovery order), so any id-order iteration or cross-surface id
 //! reuse inside an algorithm shows up here as a cost or trace divergence.
 //!
-//! Each algorithm instance is deliberately **reused** across the eager and
-//! lazy runtimes: the per-algorithm memo caches (SpillBound / AlignedBound
-//! contour choices, PlanBouquet band plans) key on the runtime's surface
-//! token, and reuse is exactly what regresses if that key is ever dropped
-//! — a decision holding eager plan ids replayed against the smaller lazy
-//! registry panics or silently executes the wrong plan.
+//! Each algorithm instance is reused across the eager and lazy runtimes.
+//! Contour decisions (SpillBound / AlignedBound contour choices,
+//! PlanBouquet band plans) live in each surface's own memo, not in the
+//! instance, so a decision holding eager plan ids can never be replayed
+//! against the lazy registry; this test keeps catching it if one ever is.
 
 use rqp_core::{AlignedBound, Discovery, NativeOptimizer, PlanBouquet, ReOptimizer, SpillBound};
 use rqp_ess::EssConfig;

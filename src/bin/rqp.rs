@@ -181,17 +181,10 @@ fn cache_summary() -> String {
 }
 
 fn algo_by_name(name: &str) -> Box<dyn Discovery> {
-    match name.to_ascii_lowercase().as_str() {
-        "sb" => Box::new(SpillBound::with_refined_bounds()),
-        "ab" => Box::new(AlignedBound::new()),
-        "pb" => Box::new(PlanBouquet::new()),
-        "native" => Box::new(NativeOptimizer),
-        "reopt" => Box::new(ReOptimizer::default()),
-        other => {
-            eprintln!("unknown algorithm {other:?} (sb|ab|pb|native|reopt)");
-            exit(2);
-        }
-    }
+    robust_qp::serve::algo_by_name(name).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        exit(2)
+    })
 }
 
 fn list() {
