@@ -9,11 +9,11 @@ use rqp_workloads::{BenchQuery, Workload};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let rows = ablation_anorexic(Scale::Quick);
+    let rows = ablation_anorexic(Scale::Quick, None);
     println!("{}", render_anorexic(&rows));
 
     let w = Workload::tpcds(BenchQuery::Q96_3D).expect("workload builds");
-    let rt = runtime_for(&w, Scale::Quick);
+    let rt = runtime_for(&w, Scale::Quick, None);
     let ess = rt.ess().expect("surface materializes");
     c.bench_function("ablation/anorexic_reduce_lambda02", |b| {
         b.iter(|| black_box(anorexic_reduce(&ess.posp, &rt.optimizer, 0.2).num_plans))

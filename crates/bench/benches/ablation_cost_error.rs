@@ -10,11 +10,11 @@ use rqp_workloads::Workload;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let rows = ablation_cost_error(Scale::Quick);
+    let rows = ablation_cost_error(Scale::Quick, None);
     println!("{}", render_cost_error(&rows));
 
     let w = Workload::q91(3).expect("workload builds");
-    let mut rt = runtime_for(&w, Scale::Quick);
+    let mut rt = runtime_for(&w, Scale::Quick, None);
     rt.set_cost_error(0.3);
     let qa = rt.grid().num_cells() / 2;
     let sb = SpillBound::new();

@@ -9,11 +9,11 @@ use rqp_workloads::Workload;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let rows = ablation_cost_ratio(Scale::Quick);
+    let rows = ablation_cost_ratio(Scale::Quick, None);
     println!("{}", render_ratio(&rows));
 
     let w = Workload::q91(2).expect("workload builds");
-    let rt = runtime_for(&w, Scale::Quick);
+    let rt = runtime_for(&w, Scale::Quick, None);
     let ess = rt.ess().expect("surface materializes");
     c.bench_function("ablation/contour_build_ratio2", |b| {
         b.iter(|| black_box(ContourSet::build(&ess.posp, 2.0).map(|c| c.num_bands()).unwrap_or(0)))

@@ -11,7 +11,7 @@ use rqp_workloads::Workload;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let rows = ablation_resolution(Scale::Quick);
+    let rows = ablation_resolution(Scale::Quick, None);
     println!("{}", render_resolution(&rows));
 
     let w = Workload::q91(2).expect("workload builds");

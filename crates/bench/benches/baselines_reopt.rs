@@ -10,11 +10,11 @@ use rqp_workloads::{BenchQuery, Workload};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let rows = baselines_comparison(Scale::Quick);
+    let rows = baselines_comparison(Scale::Quick, None);
     println!("{}", render_baselines(&rows));
 
     let w = Workload::tpcds(BenchQuery::Q91_4D).expect("workload builds");
-    let rt = runtime_for(&w, Scale::Quick);
+    let rt = runtime_for(&w, Scale::Quick, None);
     let qa = rt.grid().terminus();
     c.bench_function("baselines/reopt_discover_4d_q91", |b| {
         b.iter(|| black_box(ReOptimizer::default().discover(&rt, qa).total_cost))

@@ -9,10 +9,10 @@ use rqp_workloads::Workload;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    println!("{}", fig7_trace(Scale::Quick));
+    println!("{}", fig7_trace(Scale::Quick, None));
 
     let w = Workload::q91(2).expect("workload builds");
-    let rt = runtime_for(&w, Scale::Quick);
+    let rt = runtime_for(&w, Scale::Quick, None);
     let grid = rt.grid();
     let qa = grid.index(&[grid.snap_ceil(0, 0.04), grid.snap_ceil(1, 0.1)]);
     c.bench_function("fig07/sb_refined_discover_2d_q91", |b| {

@@ -9,11 +9,11 @@ use rqp_workloads::{BenchQuery, Workload};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let rows = fig8_mso_guarantees(Scale::Quick);
+    let rows = fig8_mso_guarantees(Scale::Quick, None);
     println!("{}", render_guarantees("Fig 8: MSO guarantees (PB vs SB)", &rows));
 
     let w = Workload::tpcds(BenchQuery::Q15_3D).expect("workload builds");
-    let rt = runtime_for(&w, Scale::Quick);
+    let rt = runtime_for(&w, Scale::Quick, None);
     c.bench_function("fig08/anorexic_rho_red_3d_q15", |b| {
         b.iter(|| black_box(PlanBouquet::anorexic(&rt, 0.2).expect("reduces").rho(&rt)))
     });

@@ -12,7 +12,7 @@ use rqp_workloads::Workload;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let rows = fig9_dimensionality(Scale::Quick);
+    let rows = fig9_dimensionality(Scale::Quick, None);
     println!("{}", render_guarantees("Fig 9: MSOg vs dimensionality (Q91)", &rows));
 
     let w = Workload::q91(2).expect("workload builds");

@@ -9,11 +9,11 @@ use rqp_workloads::{BenchQuery, Workload};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let rows = fig10_11_empirical(Scale::Quick);
+    let rows = fig10_11_empirical(Scale::Quick, None);
     println!("{}", render_empirical(&rows));
 
     let w = Workload::tpcds(BenchQuery::Q15_3D).expect("workload builds");
-    let rt = runtime_for(&w, Scale::Quick);
+    let rt = runtime_for(&w, Scale::Quick, None);
     c.bench_function("fig10/evaluate_sb_full_grid_3d_q15", |b| {
         b.iter(|| black_box(evaluate(&rt, &SpillBound::new()).mso))
     });

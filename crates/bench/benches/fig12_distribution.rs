@@ -9,11 +9,11 @@ use rqp_workloads::{BenchQuery, Workload};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let h = fig12_distribution(Scale::Quick);
+    let h = fig12_distribution(Scale::Quick, None);
     println!("{}", render_histogram(&h));
 
     let w = Workload::tpcds(BenchQuery::Q91_4D).expect("workload builds");
-    let rt = runtime_for(&w, Scale::Quick);
+    let rt = runtime_for(&w, Scale::Quick, None);
     let ev = evaluate(&rt, &SpillBound::new());
     c.bench_function("fig12/histogram_from_evaluation", |b| {
         b.iter(|| black_box(ev.histogram(5.0, 10)))

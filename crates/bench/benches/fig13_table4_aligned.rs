@@ -11,11 +11,11 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 fn bench(c: &mut Criterion) {
-    let rows = fig13_table4_aligned(Scale::Quick);
+    let rows = fig13_table4_aligned(Scale::Quick, None);
     println!("{}", render_aligned(&rows));
 
     let w = Workload::tpcds(BenchQuery::Q91_4D).expect("workload builds");
-    let rt = runtime_for(&w, Scale::Quick);
+    let rt = runtime_for(&w, Scale::Quick, None);
     let qa = rt.grid().num_cells() / 2;
     let ess = rt.ess().expect("eager surface");
     c.bench_function("fig13/ab_discover_cold_4d_q91", |b| {

@@ -9,11 +9,11 @@ use rqp_workloads::Workload;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let r = job_q1a(Scale::Quick);
+    let r = job_q1a(Scale::Quick, None);
     println!("{}", render_job(&r));
 
     let w = Workload::job_q1a().expect("workload builds");
-    let rt = runtime_for(&w, Scale::Quick);
+    let rt = runtime_for(&w, Scale::Quick, None);
     c.bench_function("job/native_worst_estimate_mso", |b| {
         b.iter(|| black_box(native_mso_worst_estimate(&rt)))
     });

@@ -45,7 +45,7 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    let rt = runtime_for(&w, Scale::Quick);
+    let rt = runtime_for(&w, Scale::Quick, None);
     let qa_cell = rt.grid().num_cells() / 2;
     let sb = rqp_core::SpillBound::new();
     use rqp_core::Discovery;

@@ -10,7 +10,7 @@ use rqp_workloads::{synth_workload, SynthConfig};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let rows = random_workload_sweep(Scale::Quick, 9);
+    let rows = random_workload_sweep(Scale::Quick, None, 9);
     println!("{}", render_random(&rows));
     assert!(rows.iter().all(|r| r.sb_mso <= r.bound), "bound violated on a random workload");
 

@@ -9,11 +9,11 @@ use rqp_workloads::{BenchQuery, Workload};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let rows = table2_alignment(Scale::Quick);
+    let rows = table2_alignment(Scale::Quick, None);
     println!("{}", render_alignment(&rows));
 
     let w = Workload::tpcds(BenchQuery::Q96_3D).expect("workload builds");
-    let rt = runtime_for(&w, Scale::Quick);
+    let rt = runtime_for(&w, Scale::Quick, None);
     c.bench_function("table2/alignment_stats_3d_q96", |b| {
         b.iter(|| black_box(alignment_stats(&rt).max_penalty()))
     });

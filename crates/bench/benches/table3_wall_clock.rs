@@ -9,11 +9,11 @@ use rqp_workloads::{BenchQuery, Workload};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let r = table3_wall_clock(Scale::Quick);
+    let r = table3_wall_clock(Scale::Quick, None);
     println!("{}", render_wall_clock(&r));
 
     let w = Workload::tpcds(BenchQuery::Q91_4D).expect("workload builds");
-    let rt = runtime_for(&w, Scale::Quick);
+    let rt = runtime_for(&w, Scale::Quick, None);
     let qa = rt.grid().terminus();
     c.bench_function("table3/native_discover_4d_q91", |b| {
         b.iter(|| black_box(NativeOptimizer.discover(&rt, qa).total_cost))

@@ -1,11 +1,12 @@
 //! The per-figure/per-table experiment implementations.
 
-use crate::Scale;
+use crate::{runtime_for, Scale};
 use rqp_core::{
     alignment_stats, evaluate, evaluate_sampled, native::native_mso_worst_estimate, pb_guarantee,
     sb_guarantee, AlignedBound, Discovery, Evaluation, NativeOptimizer, PlanBouquet, RobustRuntime,
     SpillBound,
 };
+use rqp_ess::CompileCache;
 use rqp_workloads::{BenchQuery, Workload};
 use serde::Serialize;
 
@@ -28,9 +29,9 @@ fn eval_at_scale(rt: &RobustRuntime<'_>, algo: &dyn Discovery, scale: Scale) -> 
 /// The Fig. 7 experiment: a refined-bounds SpillBound trace for 2D_Q91 with
 /// the query instance in the upper-middle of the ESS, rendered as the
 /// Manhattan-profile execution listing.
-pub fn fig7_trace(scale: Scale) -> String {
+pub fn fig7_trace(scale: Scale, cache: Option<&CompileCache>) -> String {
     let w = Workload::q91(2).expect("Q91 builds");
-    let rt = runtime(&w, scale);
+    let rt = runtime_for(&w, scale, cache);
     let grid = rt.grid();
     // qa ≈ (0.04, 0.1), as in the paper's trace
     let qa = grid.index(&[grid.snap_ceil(0, 0.04), grid.snap_ceil(1, 0.1)]);
@@ -44,10 +45,6 @@ pub fn fig7_trace(scale: Scale) -> String {
     ));
     out.push_str(&trace.render());
     out
-}
-
-fn runtime<'a>(w: &'a Workload, scale: Scale) -> RobustRuntime<'a> {
-    crate::runtime_for(w, scale)
 }
 
 // ---------------------------------------------------------------------
@@ -70,12 +67,12 @@ pub struct GuaranteeRow {
 }
 
 /// Fig. 8: MSO guarantees of PB vs SB across the query suite.
-pub fn fig8_mso_guarantees(scale: Scale) -> Vec<GuaranteeRow> {
+pub fn fig8_mso_guarantees(scale: Scale, cache: Option<&CompileCache>) -> Vec<GuaranteeRow> {
     BenchQuery::all()
         .iter()
         .map(|&bq| {
             let w = Workload::tpcds(bq).expect("suite query builds");
-            let rt = runtime(&w, scale);
+            let rt = runtime_for(&w, scale, cache);
             guarantee_row(&rt, bq.name())
         })
         .collect()
@@ -94,11 +91,11 @@ fn guarantee_row(rt: &RobustRuntime<'_>, name: &str) -> GuaranteeRow {
 }
 
 /// Fig. 9: guarantee variation with dimensionality for Q91 (D = 2..6).
-pub fn fig9_dimensionality(scale: Scale) -> Vec<GuaranteeRow> {
+pub fn fig9_dimensionality(scale: Scale, cache: Option<&CompileCache>) -> Vec<GuaranteeRow> {
     (2..=6)
         .map(|d| {
             let w = Workload::q91(d).expect("Q91 builds");
-            let rt = runtime(&w, scale);
+            let rt = runtime_for(&w, scale, cache);
             guarantee_row(&rt, &w.query.name)
         })
         .collect()
@@ -128,12 +125,12 @@ pub struct EmpiricalRow {
 /// Figs. 10 & 11: empirical MSO and ASO of PB (anorexic, λ=0.2) vs SB over
 /// the query suite, by exhaustive (or stride-sampled at high D) enumeration
 /// of the ESS.
-pub fn fig10_11_empirical(scale: Scale) -> Vec<EmpiricalRow> {
+pub fn fig10_11_empirical(scale: Scale, cache: Option<&CompileCache>) -> Vec<EmpiricalRow> {
     BenchQuery::all()
         .iter()
         .map(|&bq| {
             let w = Workload::tpcds(bq).expect("suite query builds");
-            let rt = runtime(&w, scale);
+            let rt = runtime_for(&w, scale, cache);
             let pb = PlanBouquet::anorexic(&rt, LAMBDA).expect("anorexic reduction");
             let sb = SpillBound::new();
             let pb_ev = eval_at_scale(&rt, &pb, scale);
@@ -167,9 +164,9 @@ pub struct HistogramResult {
 }
 
 /// Fig. 12: sub-optimality distribution over the ESS for 4D_Q91.
-pub fn fig12_distribution(scale: Scale) -> HistogramResult {
+pub fn fig12_distribution(scale: Scale, cache: Option<&CompileCache>) -> HistogramResult {
     let w = Workload::tpcds(BenchQuery::Q91_4D).expect("suite query builds");
-    let rt = runtime(&w, scale);
+    let rt = runtime_for(&w, scale, cache);
     let pb_ev =
         eval_at_scale(&rt, &PlanBouquet::anorexic(&rt, LAMBDA).expect("anorexic reduction"), scale);
     let sb_ev = eval_at_scale(&rt, &SpillBound::new(), scale);
@@ -205,12 +202,12 @@ pub struct AlignedRow {
 
 /// Fig. 13 and Table 4: empirical MSO of SB vs AB with the `2D+2`
 /// reference, plus the maximum replacement penalty AB incurred.
-pub fn fig13_table4_aligned(scale: Scale) -> Vec<AlignedRow> {
+pub fn fig13_table4_aligned(scale: Scale, cache: Option<&CompileCache>) -> Vec<AlignedRow> {
     BenchQuery::all()
         .iter()
         .map(|&bq| {
             let w = Workload::tpcds(bq).expect("suite query builds");
-            let rt = runtime(&w, scale);
+            let rt = runtime_for(&w, scale, cache);
             let sb_ev = eval_at_scale(&rt, &SpillBound::new(), scale);
             let ab = AlignedBound::new();
             let ab_ev = eval_at_scale(&rt, &ab, scale);
@@ -249,7 +246,7 @@ pub struct AlignmentRow {
 
 /// Table 2: percentage of aligned contours at increasing replacement
 /// penalty thresholds, for the paper's six featured queries.
-pub fn table2_alignment(scale: Scale) -> Vec<AlignmentRow> {
+pub fn table2_alignment(scale: Scale, cache: Option<&CompileCache>) -> Vec<AlignmentRow> {
     [
         BenchQuery::Q96_3D,
         BenchQuery::Q7_4D,
@@ -261,7 +258,7 @@ pub fn table2_alignment(scale: Scale) -> Vec<AlignmentRow> {
     .iter()
     .map(|&bq| {
         let w = Workload::tpcds(bq).expect("suite query builds");
-        let rt = runtime(&w, scale);
+        let rt = runtime_for(&w, scale, cache);
         let stats = alignment_stats(&rt);
         AlignmentRow {
             query: bq.name().to_string(),
@@ -309,9 +306,9 @@ pub struct WallClockResult {
 /// Table 3 + §6.3: simulated wall-clock comparison on 4D_Q91. Cost units
 /// are mapped to seconds by anchoring the oracle execution at 44 s, the
 /// paper's measured optimal time.
-pub fn table3_wall_clock(scale: Scale) -> WallClockResult {
+pub fn table3_wall_clock(scale: Scale, cache: Option<&CompileCache>) -> WallClockResult {
     let w = Workload::tpcds(BenchQuery::Q91_4D).expect("suite query builds");
-    let rt = runtime(&w, scale);
+    let rt = runtime_for(&w, scale, cache);
     let grid = rt.grid();
     // a challenging instance in the upper-middle region of the ESS
     let coords: Vec<usize> = (0..grid.dims()).map(|d| grid.res(d) * 3 / 4).collect();
@@ -354,9 +351,9 @@ pub struct JobResult {
 
 /// §6.5: JOB Q1a — the native optimizer's MSO collapses from thousands to
 /// around `2D+2` under SB/AB.
-pub fn job_q1a(scale: Scale) -> JobResult {
+pub fn job_q1a(scale: Scale, cache: Option<&CompileCache>) -> JobResult {
     let w = Workload::job_q1a().expect("JOB Q1a builds");
-    let rt = runtime(&w, scale);
+    let rt = runtime_for(&w, scale, cache);
     JobResult {
         native_mso: native_mso_worst_estimate(&rt),
         sb_mso: eval_at_scale(&rt, &SpillBound::new(), scale).mso,
@@ -382,14 +379,14 @@ pub struct RatioRow {
 /// Ablation: SpillBound's empirical MSO as the contour cost ratio varies
 /// (the paper notes doubling is not quite ideal — e.g. 1.8 gives 9.9
 /// instead of 10 in 2D).
-pub fn ablation_cost_ratio(scale: Scale) -> Vec<RatioRow> {
+pub fn ablation_cost_ratio(scale: Scale, cache: Option<&CompileCache>) -> Vec<RatioRow> {
     let w = Workload::q91(2).expect("Q91 builds");
     let mut cfg = scale.ess_config(2);
     [1.5, 1.8, 2.0, 2.5, 3.0]
         .iter()
         .map(|&ratio| {
             cfg.contour_ratio = ratio;
-            let rt = w.runtime(cfg).expect("ESS compiles");
+            let rt = w.runtime_cached(cfg, cache).expect("ESS compiles");
             let ev = eval_at_scale(&rt, &SpillBound::new(), scale);
             RatioRow { ratio, bands: rt.num_bands(), sb_mso: ev.mso }
         })
@@ -411,9 +408,9 @@ pub struct AnorexicRow {
 
 /// Ablation: PlanBouquet's guarantee and empirical MSO as the anorexic
 /// threshold λ varies (λ = 0 is the raw diagram).
-pub fn ablation_anorexic(scale: Scale) -> Vec<AnorexicRow> {
+pub fn ablation_anorexic(scale: Scale, cache: Option<&CompileCache>) -> Vec<AnorexicRow> {
     let w = Workload::tpcds(BenchQuery::Q96_3D).expect("suite query builds");
-    let rt = runtime(&w, scale);
+    let rt = runtime_for(&w, scale, cache);
     [0.0, 0.1, 0.2, 0.5, 1.0]
         .iter()
         .map(|&lambda| {
@@ -449,7 +446,11 @@ pub struct RandomWorkloadRow {
 /// Robustness sweep over seeded random workloads: the structural guarantee
 /// must hold on arbitrary schemas and join geometries, not just the curated
 /// TPC-DS suite.
-pub fn random_workload_sweep(scale: Scale, count: usize) -> Vec<RandomWorkloadRow> {
+pub fn random_workload_sweep(
+    scale: Scale,
+    cache: Option<&CompileCache>,
+    count: usize,
+) -> Vec<RandomWorkloadRow> {
     use rqp_workloads::{synth_workload, Shape, SynthConfig};
     (0..count as u64)
         .map(|seed| {
@@ -464,7 +465,7 @@ pub fn random_workload_sweep(scale: Scale, count: usize) -> Vec<RandomWorkloadRo
                 seed,
             })
             .expect("generated workload builds");
-            let rt = runtime(&w, scale);
+            let rt = runtime_for(&w, scale, cache);
             let ev = eval_at_scale(&rt, &SpillBound::new(), scale);
             RandomWorkloadRow {
                 seed,
@@ -500,12 +501,12 @@ pub struct BaselineRow {
 /// §8 comparison: the POP/Rio-style mid-query reoptimization heuristic vs
 /// SpillBound. ReOpt is often decent on average but carries no MSO bound;
 /// SB bounds the worst case structurally.
-pub fn baselines_comparison(scale: Scale) -> Vec<BaselineRow> {
+pub fn baselines_comparison(scale: Scale, cache: Option<&CompileCache>) -> Vec<BaselineRow> {
     [BenchQuery::Q15_3D, BenchQuery::Q96_3D, BenchQuery::Q91_4D, BenchQuery::Q19_5D]
         .iter()
         .map(|&bq| {
             let w = Workload::tpcds(bq).expect("suite query builds");
-            let rt = runtime(&w, scale);
+            let rt = runtime_for(&w, scale, cache);
             let reopt_ev = eval_at_scale(&rt, &rqp_core::ReOptimizer::default(), scale);
             let sb_ev = eval_at_scale(&rt, &SpillBound::new(), scale);
             BaselineRow {
@@ -537,12 +538,12 @@ pub struct CostErrorRow {
 /// model-based. The paper argues the guarantee inflates by at most
 /// `(1+δ)²`; this experiment measures the empirical inflation
 /// (δ = 0.3 is the realistic modelling error the paper cites).
-pub fn ablation_cost_error(scale: Scale) -> Vec<CostErrorRow> {
+pub fn ablation_cost_error(scale: Scale, cache: Option<&CompileCache>) -> Vec<CostErrorRow> {
     let w = Workload::q91(3).expect("Q91 builds");
     [0.0, 0.1, 0.3, 0.5, 1.0]
         .iter()
         .map(|&delta| {
-            let mut rt = runtime(&w, scale);
+            let mut rt = runtime_for(&w, scale, cache);
             rt.set_cost_error(delta);
             let ev = eval_at_scale(&rt, &SpillBound::new(), scale);
             CostErrorRow {
@@ -568,7 +569,7 @@ pub struct ResolutionRow {
 /// Ablation: stability of the empirical MSO under grid resolution
 /// (validates that the discretization substitution preserves the paper's
 /// comparisons).
-pub fn ablation_resolution(scale: Scale) -> Vec<ResolutionRow> {
+pub fn ablation_resolution(scale: Scale, cache: Option<&CompileCache>) -> Vec<ResolutionRow> {
     let w = Workload::q91(2).expect("Q91 builds");
     let resolutions: &[usize] = match scale {
         Scale::Quick => &[8, 16, 24],
@@ -579,7 +580,7 @@ pub fn ablation_resolution(scale: Scale) -> Vec<ResolutionRow> {
         .map(|&resolution| {
             let mut cfg = scale.ess_config(2);
             cfg.resolution = resolution;
-            let rt = w.runtime(cfg).expect("ESS compiles");
+            let rt = w.runtime_cached(cfg, cache).expect("ESS compiles");
             ResolutionRow {
                 resolution,
                 sb_mso: evaluate(&rt, &SpillBound::new()).mso,
@@ -598,12 +599,12 @@ pub fn ablation_resolution(scale: Scale) -> Vec<ResolutionRow> {
 /// render the per-class outcome table. Returns the invariant-violation
 /// message instead of a table if the supervised runtime breaks one of the
 /// harness invariants — a sweep that *renders* is a sweep that passed.
-pub fn chaos_sweep_experiment(scale: Scale) -> String {
+pub fn chaos_sweep_experiment(scale: Scale, cache: Option<&CompileCache>) -> String {
     use rqp_chaos::{probe_cells, standard_schedules, sweep, ChaosReport, FaultPlan};
 
     let w = Workload::q91(2).expect("Q91 builds");
     let plan = FaultPlan::idle();
-    let mut rt = w.runtime(scale.ess_config(2)).expect("ESS compiles");
+    let mut rt = w.runtime_cached(scale.ess_config(2), cache).expect("ESS compiles");
     rt.set_fault_injector(&plan);
     let cells = probe_cells(&rt);
     let rounds: u64 = match scale {
@@ -685,14 +686,14 @@ mod tests {
 
     #[test]
     fn chaos_sweep_holds_its_invariants_at_quick_scale() {
-        let out = chaos_sweep_experiment(Scale::Quick);
+        let out = chaos_sweep_experiment(Scale::Quick, None);
         assert!(out.contains("all invariants held"), "chaos sweep reported a violation:\n{out}");
         assert!(out.contains("storm"));
     }
 
     #[test]
     fn fig9_rows_cover_dimensionalities_two_to_six() {
-        let rows = fig9_dimensionality(Scale::Quick);
+        let rows = fig9_dimensionality(Scale::Quick, None);
         assert_eq!(rows.len(), 5);
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(r.dims, i + 2);
@@ -705,14 +706,14 @@ mod tests {
 
     #[test]
     fn fig7_trace_mentions_spills_and_completion() {
-        let t = fig7_trace(Scale::Quick);
+        let t = fig7_trace(Scale::Quick, None);
         assert!(t.contains("spill["), "trace should include spill executions:\n{t}");
         assert!(t.contains("done"), "trace should complete:\n{t}");
     }
 
     #[test]
     fn job_result_shows_the_collapse() {
-        let r = job_q1a(Scale::Quick);
+        let r = job_q1a(Scale::Quick, None);
         assert!(
             r.native_mso > 10.0 * r.sb_mso,
             "native {} should dwarf SB {}",
@@ -724,7 +725,7 @@ mod tests {
 
     #[test]
     fn cost_ratio_ablation_band_counts_decrease_with_ratio() {
-        let rows = ablation_cost_ratio(Scale::Quick);
+        let rows = ablation_cost_ratio(Scale::Quick, None);
         for w in rows.windows(2) {
             assert!(w[0].bands >= w[1].bands);
             assert!(w[0].sb_mso >= 1.0);

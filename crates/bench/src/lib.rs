@@ -43,7 +43,7 @@ pub const EXPERIMENTS: &[&str] = &[
 ];
 
 use rqp_core::RobustRuntime;
-use rqp_ess::EssConfig;
+use rqp_ess::{CompileCache, EssConfig};
 use rqp_workloads::Workload;
 
 /// Experiment scale.
@@ -75,13 +75,18 @@ impl Scale {
     }
 }
 
-/// Compile a workload's runtime at the given scale.
+/// Compile a workload's runtime at the given scale, through `cache` if
+/// one is given.
 ///
 /// # Panics
 /// Panics if ESS compilation fails (harness-only convenience; the curated
 /// workloads always compile).
-pub fn runtime_for(w: &Workload, scale: Scale) -> RobustRuntime<'_> {
-    w.runtime(scale.ess_config(w.query.dims())).expect("curated workload compiles")
+pub fn runtime_for<'a>(
+    w: &'a Workload,
+    scale: Scale,
+    cache: Option<&CompileCache>,
+) -> RobustRuntime<'a> {
+    w.runtime_cached(scale.ess_config(w.query.dims()), cache).expect("curated workload compiles")
 }
 
 #[cfg(test)]

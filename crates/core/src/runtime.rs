@@ -2,7 +2,7 @@
 
 use crate::surface::{ContourMemo, SharedSurface, Surface};
 use rqp_catalog::{Catalog, Estimator, Query, RqpError, RqpResult, SelVector};
-use rqp_ess::{Cell, Ess, EssConfig, Grid, LazyEss, PlanId};
+use rqp_ess::{Cell, CompileCache, Ess, EssConfig, Grid, LazyEss, PlanId};
 use rqp_executor::Engine;
 use rqp_optimizer::Optimizer;
 use rqp_qplan::{CostModel, PlanNode};
@@ -61,8 +61,21 @@ impl<'a> RobustRuntime<'a> {
         model: CostModel,
         config: EssConfig,
     ) -> RqpResult<Self> {
+        Self::compile_cached(catalog, query, model, config, None)
+    }
+
+    /// [`RobustRuntime::compile`] through an explicit persistent compile
+    /// cache: a hit restores the surface without an optimizer call, a miss
+    /// compiles and stores it (see [`Ess::compile_cached`]).
+    pub fn compile_cached(
+        catalog: &'a Catalog,
+        query: &'a Query,
+        model: CostModel,
+        config: EssConfig,
+        cache: Option<&CompileCache>,
+    ) -> RqpResult<Self> {
         Self::admit(catalog, query, model, |optimizer| {
-            Ok(SharedSurface::eager(Arc::new(Ess::compile(optimizer, config)?)))
+            Ok(SharedSurface::eager(Arc::new(Ess::compile_cached(optimizer, config, cache)?)))
         })
     }
 
@@ -441,8 +454,8 @@ mod tests {
             assert_eq!(lazy.band_of(qa), eager.band_of(qa));
         }
         // materializing the lazy surface canonicalizes to the eager bytes
-        let a = rqp_ess::PospSnapshot::capture(&eager.ess().unwrap()).to_json().unwrap();
-        let b = rqp_ess::PospSnapshot::capture(&lazy.ess().unwrap()).to_json().unwrap();
+        let a = rqp_ess::PospSnapshot::capture(&eager.ess().unwrap()).encode(0);
+        let b = rqp_ess::PospSnapshot::capture(&lazy.ess().unwrap()).encode(0);
         assert_eq!(a, b);
     }
 

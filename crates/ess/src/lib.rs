@@ -23,7 +23,7 @@ pub mod registry;
 pub mod snapshot;
 
 pub use anorexic::{anorexic_reduce, Reduced};
-pub use cache::{clear_global_cache_dir, compile_fingerprint, set_global_cache_dir, CompileCache};
+pub use cache::{compile_fingerprint, CompileCache};
 pub use contours::ContourSet;
 pub use grid::{Cell, Grid};
 pub use lazy::LazyEss;
@@ -99,13 +99,12 @@ pub struct Ess {
 }
 
 impl Ess {
-    /// Compile the ESS for the optimizer's query, consulting the
-    /// process-wide persistent cache if one was installed via
-    /// [`set_global_cache_dir`].
+    /// Compile the ESS for the optimizer's query, with no persistent
+    /// cache: `compile_cached(.., None)`.
     ///
     /// Errors if the configured grid is degenerate or too large to address.
     pub fn compile(optimizer: &Optimizer<'_>, config: EssConfig) -> RqpResult<Ess> {
-        Ess::compile_cached(optimizer, config, cache::global_cache().as_ref())
+        Ess::compile_cached(optimizer, config, None)
     }
 
     /// Compile the ESS, consulting an explicit persistent cache (if any).

@@ -95,8 +95,8 @@ fn lazy_finish_matches_eager_exact_and_recost_2d_3d_4d() {
             assert_ess_identical(&eager, &finished);
             // the final snapshots are byte-identical, not just equivalent
             assert_eq!(
-                PospSnapshot::capture(&eager).to_json().unwrap(),
-                PospSnapshot::capture(&finished).to_json().unwrap(),
+                PospSnapshot::capture(&eager).encode(0),
+                PospSnapshot::capture(&finished).encode(0),
                 "{dims}D {mode:?}: finished lazy snapshot must be byte-identical to eager"
             );
         }

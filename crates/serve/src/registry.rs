@@ -394,10 +394,10 @@ impl EssRegistry {
         let Some(cache) = &self.cache else { return };
         match injector.inject(CompileSeam::CacheLoad) {
             Some(CompileFault::CorruptEntry) => {
-                let path = cache.dir().join(format!("posp-{fp:016x}.rqpc"));
+                let path = cache.entry_path(fp);
                 if path.exists() {
                     // rqp-lint: allow(swallowed-result): best-effort chaos corruption; a failed write just means no fault fired
-                    let _ = std::fs::write(&path, "rqp-posp-cache v2 CORRUPTED-BY-CHAOS\n");
+                    let _ = std::fs::write(&path, "CORRUPTED-BY-CHAOS\n");
                 }
             }
             Some(CompileFault::SlowIo { millis }) => {

@@ -550,10 +550,8 @@ fn run_session_inner(inner: &Inner, queued: Queued) -> SessionResult {
                 // this session (and its peers) pull bands on demand.
                 LazyEss::begin(&optimizer, cfg).map(SharedSurface::lazy)
             } else {
-                // The registry's disk tier is the only cache: this compile
-                // must not also read or write the process-wide one.
-                let ess = Ess::compile_cached(&optimizer, cfg, None)?;
-                Ok(SharedSurface::eager(Arc::new(ess)))
+                // the registry's disk tier is this compile's only cache
+                Ok(SharedSurface::eager(Arc::new(Ess::compile(&optimizer, cfg)?)))
             }
         })
     }))

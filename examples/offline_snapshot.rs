@@ -1,9 +1,9 @@
-//! Offline ESS compilation (§7): compile once, snapshot to JSON, reload
-//! instantly for canned queries.
+//! Offline ESS compilation (§7): compile once, snapshot to the
+//! checksummed snapshot format, reload instantly for canned queries.
 //!
 //! Run with: `cargo run --release --example offline_snapshot`
 
-use robust_qp::ess::PospSnapshot;
+use robust_qp::ess::{compile_fingerprint, PospSnapshot};
 use robust_qp::prelude::*;
 use std::time::Instant;
 
@@ -12,30 +12,30 @@ fn main() {
 
     // the expensive step: optimizer at every grid location
     let t0 = Instant::now();
-    let rt = w.runtime(EssConfig { resolution: 32, ..Default::default() }).expect("ESS compiles");
+    let cfg = EssConfig { resolution: 32, ..Default::default() };
+    let rt = w.runtime(cfg).expect("ESS compiles");
     let compile_time = t0.elapsed();
     let ess = rt.ess().expect("eager surface materializes");
 
-    // snapshot it
-    let snap = PospSnapshot::capture(&ess);
-    let json = snap.to_json().expect("snapshot serializes");
-    let path = std::env::temp_dir().join("rqp_2d_q91.ess.json");
-    std::fs::write(&path, &json).expect("snapshot written");
+    // snapshot it, recording the compile's fingerprint
+    let fp = compile_fingerprint(&w.catalog, &w.query, &CostModel::default(), &cfg);
+    let text = PospSnapshot::capture(&ess).encode(fp);
+    let path = std::env::temp_dir().join("rqp_2d_q91.rqpc");
+    std::fs::write(&path, &text).expect("snapshot written");
     println!(
         "compiled {} cells / {} plans in {compile_time:.2?}; snapshot {} KiB at {}",
         ess.grid().num_cells(),
         ess.posp.num_plans(),
-        json.len() / 1024,
+        text.len() / 1024,
         path.display()
     );
 
     // the cheap step: restore without touching the optimizer
     let t1 = Instant::now();
-    let loaded = std::fs::read_to_string(&path).expect("snapshot read");
-    let restored = PospSnapshot::from_json(&loaded)
-        .expect("snapshot parses")
-        .restore()
-        .expect("snapshot restores");
+    let loaded = std::fs::read(&path).expect("snapshot read");
+    let (recorded, snap) = PospSnapshot::decode(&loaded).expect("snapshot decodes");
+    assert_eq!(recorded, fp, "the snapshot records the compile it came from");
+    let restored = snap.restore().expect("snapshot restores");
     println!(
         "restored in {:.2?} ({}x faster than compiling)",
         t1.elapsed(),

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! rqp list
-//! rqp compile  --query 4D_Q91 [--resolution N] [--out ess.json]
+//! rqp compile  --query 4D_Q91 [--resolution N] [--out posp.rqpc]
 //! rqp run      --query 4D_Q91 [--algo sb|ab|pb|native|reopt] [--qa s1,s2,..] [--resolution N] [--lazy true]
 //! rqp report   --query 3D_Q15 [--resolution N]
 //! rqp atlas    --query 2D_Q91 [--resolution N]
@@ -24,7 +24,7 @@
 //! ```
 
 use robust_qp::core::native::native_mso_worst_estimate;
-use robust_qp::ess::PospSnapshot;
+use robust_qp::ess::{compile_fingerprint, PospSnapshot};
 use robust_qp::prelude::*;
 use std::collections::HashMap;
 use std::process::exit;
@@ -116,11 +116,19 @@ fn workload_by_name(name: &str) -> Workload {
     })
 }
 
-fn runtime_or_exit<'a>(w: &'a Workload, cfg: EssConfig) -> RobustRuntime<'a> {
-    w.runtime(cfg).unwrap_or_else(|e| {
-        eprintln!("ESS compilation failed: {e}");
-        exit(1)
-    })
+/// Compile a runtime eagerly, through the `--cache-dir` cache if given.
+fn compile_or_exit<'a>(
+    catalog: &'a Catalog,
+    query: &'a Query,
+    cfg: EssConfig,
+    flags: &HashMap<String, String>,
+) -> RobustRuntime<'a> {
+    let cache = compile_cache(flags);
+    RobustRuntime::compile_cached(catalog, query, CostModel::default(), cfg, cache.as_ref())
+        .unwrap_or_else(|e| {
+            eprintln!("ESS compilation failed: {e}");
+            exit(1)
+        })
 }
 
 fn required<'a>(flags: &'a HashMap<String, String>, key: &str) -> &'a str {
@@ -160,13 +168,17 @@ fn config_for(flags: &HashMap<String, String>, dims: usize) -> EssConfig {
             },
         };
     }
-    if let Some(dir) = flags.get("cache-dir") {
-        if let Err(e) = robust_qp::ess::set_global_cache_dir(dir) {
-            eprintln!("cannot enable compile cache: {e}");
-            exit(2);
-        }
-    }
     cfg
+}
+
+/// The `--cache-dir` compile cache, if one was asked for.
+fn compile_cache(flags: &HashMap<String, String>) -> Option<CompileCache> {
+    flags.get("cache-dir").map(|dir| {
+        CompileCache::new(dir).unwrap_or_else(|e| {
+            eprintln!("cannot enable compile cache: {e}");
+            exit(2)
+        })
+    })
 }
 
 /// One-line summary of the persistent-cache counters for this process.
@@ -202,7 +214,7 @@ fn compile(flags: &HashMap<String, String>) {
     let w = workload_by_name(required(flags, "query"));
     let cfg = config_for(flags, w.query.dims());
     let t0 = std::time::Instant::now();
-    let rt = runtime_or_exit(&w, cfg);
+    let rt = compile_or_exit(&w.catalog, &w.query, cfg, flags);
     let ess = rt.ess().unwrap_or_else(|e| {
         eprintln!("surface materialization failed: {e}");
         exit(1)
@@ -219,12 +231,8 @@ fn compile(flags: &HashMap<String, String>) {
         println!("{}", cache_summary());
     }
     if let Some(out) = flags.get("out") {
-        let snap = PospSnapshot::capture(&ess);
-        let json = snap.to_json().unwrap_or_else(|e| {
-            eprintln!("cannot serialize snapshot: {e}");
-            exit(1)
-        });
-        std::fs::write(out, json).unwrap_or_else(|e| {
+        let fp = compile_fingerprint(&w.catalog, &w.query, &CostModel::default(), &cfg);
+        std::fs::write(out, PospSnapshot::capture(&ess).encode(fp)).unwrap_or_else(|e| {
             eprintln!("cannot write {out}: {e}");
             exit(1);
         });
@@ -242,7 +250,7 @@ fn run(flags: &HashMap<String, String>) {
             exit(1)
         })
     } else {
-        runtime_or_exit(&w, cfg)
+        compile_or_exit(&w.catalog, &w.query, cfg, flags)
     };
     let grid = rt.grid();
     let qa = match flags.get("qa") {
@@ -283,7 +291,7 @@ fn report(flags: &HashMap<String, String>) {
     let w = workload_by_name(required(flags, "query"));
     let d = w.query.dims();
     let cfg = config_for(flags, d);
-    let rt = runtime_or_exit(&w, cfg);
+    let rt = compile_or_exit(&w.catalog, &w.query, cfg, flags);
     let pb = PlanBouquet::anorexic(&rt, 0.2).unwrap_or_else(|e| {
         eprintln!("anorexic reduction failed: {e}");
         exit(1)
@@ -314,7 +322,7 @@ fn atlas(flags: &HashMap<String, String>) {
         exit(2);
     }
     let cfg = config_for(flags, 2);
-    let rt = runtime_or_exit(&w, cfg);
+    let rt = compile_or_exit(&w.catalog, &w.query, cfg, flags);
     let ess = rt.ess().unwrap_or_else(|e| {
         eprintln!("surface materialization failed: {e}");
         exit(1)
@@ -365,7 +373,7 @@ fn chaos(flags: &HashMap<String, String>) {
     robust_qp::core::register_metrics();
 
     let plan = FaultPlan::idle();
-    let mut rt = runtime_or_exit(&w, cfg);
+    let mut rt = compile_or_exit(&w.catalog, &w.query, cfg, flags);
     rt.set_fault_injector(&plan);
     let cells = probe_cells(&rt);
     println!(
@@ -424,11 +432,7 @@ fn sql(flags: &HashMap<String, String>) {
     });
     println!("parsed {:?}: {} relations, {} epps", file, query.relations.len(), query.dims());
     let cfg = config_for(flags, query.dims());
-    let rt =
-        RobustRuntime::compile(&catalog, &query, CostModel::default(), cfg).unwrap_or_else(|e| {
-            eprintln!("ESS compilation failed: {e}");
-            exit(1)
-        });
+    let rt = compile_or_exit(&catalog, &query, cfg, flags);
     let algo = algo_by_name(flags.get("algo").map(String::as_str).unwrap_or("sb"));
     let qa = rt.grid().num_cells() / 2;
     let trace = algo.discover(&rt, qa);

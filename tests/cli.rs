@@ -37,7 +37,7 @@ fn run_accepts_explicit_qa() {
 fn compile_writes_a_loadable_snapshot() {
     let dir = std::env::temp_dir().join(format!("rqp_cli_test_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let out_file = dir.join("snap.json");
+    let out_file = dir.join("snap.rqpc");
     let out = rqp(&[
         "compile",
         "--query",
@@ -48,8 +48,8 @@ fn compile_writes_a_loadable_snapshot() {
         out_file.to_str().unwrap(),
     ]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let json = std::fs::read_to_string(&out_file).unwrap();
-    let snap = robust_qp::ess::PospSnapshot::from_json(&json).unwrap();
+    let bytes = std::fs::read(&out_file).unwrap();
+    let (_, snap) = robust_qp::ess::PospSnapshot::decode(&bytes).unwrap();
     let ess = snap.restore().unwrap();
     assert_eq!(ess.grid().num_cells(), 64);
     std::fs::remove_dir_all(&dir).unwrap();

@@ -263,10 +263,9 @@ mod row_level {
             let rt = w.runtime(EssConfig { resolution: 6, ..Default::default() }).unwrap();
             let ess = rt.ess().unwrap();
             let snap = robust_qp::ess::PospSnapshot::capture(&ess);
-            let restored = robust_qp::ess::PospSnapshot::from_json(&snap.to_json().unwrap())
-                .unwrap()
-                .restore()
+            let (_, back) = robust_qp::ess::PospSnapshot::decode(snap.encode(seed).as_bytes())
                 .unwrap();
+            let restored = back.restore().unwrap();
             for cell in ess.grid().cells() {
                 prop_assert_eq!(restored.posp.cost(cell), ess.posp.cost(cell));
                 prop_assert_eq!(restored.posp.plan_id(cell), ess.posp.plan_id(cell));
