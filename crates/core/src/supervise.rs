@@ -152,8 +152,7 @@ impl Supervisor {
         self.quarantined.contains(&Fingerprint::of(plan).0)
     }
 
-    /// Fingerprints of all quarantined plans (for the trace and the ESS
-    /// snapshot).
+    /// Fingerprints of all quarantined plans (for the trace).
     pub fn quarantined(&self) -> Vec<u64> {
         self.quarantined.iter().copied().collect()
     }
