@@ -6,48 +6,19 @@
 //! (dimension 0 varies fastest).
 
 use rqp_catalog::{RqpError, RqpResult, SelVector, Selectivity};
-use serde::{Deserialize, Serialize};
 
 /// Linear index of a grid cell.
 pub type Cell = usize;
 
-/// A log-scale multi-dimensional grid over the ESS.
-///
-/// Deserialization is routed through [`Grid::from_axes`] (via the
-/// `GridSerde` shadow), so a malformed payload — empty axis list, empty or
-/// unsorted axes, out-of-range values — is a structured decode error
-/// rather than a reachable invalid state. Every constructed `Grid`
-/// therefore has at least one axis with at least two points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(try_from = "GridSerde")]
+/// A log-scale multi-dimensional grid over the ESS. Every constructed
+/// `Grid` has at least one axis with at least two points.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grid {
     /// Per-dimension axis values, strictly increasing, ending at 1.0.
     axes: Vec<Vec<f64>>,
     /// Row-major strides.
     strides: Vec<usize>,
     cells: usize,
-}
-
-/// Untrusted wire form of [`Grid`]; validated by `TryFrom` on decode.
-#[derive(Deserialize)]
-struct GridSerde {
-    axes: Vec<Vec<f64>>,
-    #[serde(default)]
-    strides: Vec<usize>,
-    #[serde(default)]
-    cells: usize,
-}
-
-impl TryFrom<GridSerde> for Grid {
-    type Error = RqpError;
-
-    fn try_from(raw: GridSerde) -> RqpResult<Grid> {
-        let grid = Grid::from_axes(raw.axes)?;
-        // strides/cells are derived state; recomputing them ignores (and
-        // thereby corrects) whatever the payload claimed.
-        let _ = (raw.strides, raw.cells);
-        Ok(grid)
-    }
 }
 
 impl Grid {
@@ -303,45 +274,15 @@ mod tests {
     }
 
     #[test]
-    fn deserialization_revalidates_axes() {
-        // Regression: a derived Deserialize would bypass from_axes, so a
-        // malformed payload could smuggle in an empty axis and crash
-        // snap_ceil via usize underflow. Grid routes decoding through
-        // `TryFrom<GridSerde>`, which re-runs construction validation.
-        for bad in [
-            GridSerde { axes: vec![], strides: vec![], cells: 0 },
-            GridSerde { axes: vec![vec![]], strides: vec![1], cells: 0 },
-            GridSerde { axes: vec![vec![0.5]], strides: vec![1], cells: 1 },
-            GridSerde { axes: vec![vec![0.5, 0.1, 1.0]], strides: vec![1], cells: 3 },
-            GridSerde { axes: vec![vec![0.5, 1.5]], strides: vec![1], cells: 2 },
-        ] {
-            assert!(Grid::try_from(bad).is_err());
-        }
-    }
-
-    #[test]
-    fn deserialization_recomputes_derived_state() {
-        // lying about strides/cells cannot corrupt indexing: the decode
-        // gate recomputes both from the axes alone
-        let forged = GridSerde {
-            axes: vec![vec![0.1, 1.0], vec![0.2, 1.0]],
-            strides: vec![99, 99],
-            cells: 7,
-        };
-        let f = Grid::try_from(forged).unwrap();
-        assert_eq!(f, Grid::from_axes(vec![vec![0.1, 1.0], vec![0.2, 1.0]]).unwrap());
-        assert_eq!(f.num_cells(), 4);
-        assert_eq!(f.index(&[1, 1]), 3);
-    }
-
-    #[test]
     fn degenerate_parameters_are_errors() {
         assert!(Grid::uniform(0, 10, 1e-4).is_err());
         assert!(Grid::uniform(2, 1, 1e-4).is_err());
         assert!(Grid::uniform(2, 10, 0.0).is_err());
         assert!(Grid::uniform(2, 10, 1.0).is_err());
         assert!(Grid::from_axes(vec![]).is_err());
+        assert!(Grid::from_axes(vec![vec![]]).is_err());
         assert!(Grid::from_axes(vec![vec![0.5]]).is_err());
+        assert!(Grid::from_axes(vec![vec![0.5, 0.1, 1.0]]).is_err());
         assert!(Grid::from_axes(vec![vec![0.5, 1.5]]).is_err());
     }
 }
