@@ -361,35 +361,16 @@ impl Discovery for AlignedBound {
     fn discover(&self, rt: &RobustRuntime<'_>, qa: Cell) -> DiscoveryTrace {
         let grid = rt.grid();
         let qa_loc = grid.location(qa);
-        let band_hist = crate::obs::band_histogram(self.name());
         let m = rt.num_bands();
         let mut sup = rt.supervisor(self.name());
         let mut know = Knowledge::new(grid);
-        let mut steps = Vec::new();
-        let mut total = 0.0;
         let mut band = 0usize;
-        let tracer = rqp_obs::current();
 
         loop {
-            // keep the next contour flooding while this one executes
-            rt.prefetch_band(band + 1);
-            let mut band_span = tracer
-                .span(rqp_obs::names::SPAN_CONTOUR_BAND, rqp_obs::SpanKind::Contour)
-                .with_histogram(&band_hist);
-            band_span.attr("band", band as u64);
-            let _band_span = band_span;
+            let _band_span = sup.band_span(band);
             let unlearnt = know.unlearnt();
             if unlearnt.len() <= 1 || band >= m {
-                bouquet_endgame(
-                    rt,
-                    &know,
-                    band.min(m - 1),
-                    qa,
-                    &qa_loc,
-                    &mut sup,
-                    &mut steps,
-                    &mut total,
-                );
+                bouquet_endgame(rt, &know, band.min(m - 1), &qa_loc, &mut sup);
                 break;
             }
             let decision = memoise(&rt.memo().ab, state_key(rt, band, &know), || {
@@ -420,7 +401,7 @@ impl Discovery for AlignedBound {
                 let reference = grid.location(ref_cell);
                 let out = sup.execute_spill(
                     &rt.engine, &node, &plan_ref, band, exec.dim, &reference, &qa_loc, budget,
-                    false, &mut total, &mut steps,
+                    false,
                 );
                 if out.learned.is_exact() {
                     know.learn_exact(exec.dim, out.learned.value());
@@ -437,17 +418,7 @@ impl Discovery for AlignedBound {
             }
         }
 
-        let trace = DiscoveryTrace {
-            algo: self.name(),
-            qa,
-            steps,
-            total_cost: total,
-            oracle_cost: rt.oracle_cost(qa),
-            failure: None,
-            quarantined: sup.quarantined(),
-        };
-        crate::obs::record_trace(&trace);
-        trace
+        sup.finish(qa, rt.oracle_cost(qa), None)
     }
 }
 

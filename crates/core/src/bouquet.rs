@@ -10,8 +10,9 @@
 
 use crate::knowledge::Knowledge;
 use crate::runtime::RobustRuntime;
+use crate::supervise::Supervisor;
 use crate::surface::memoise;
-use crate::trace::{DiscoveryTrace, PlanRef, Step};
+use crate::trace::{DiscoveryTrace, PlanRef};
 use crate::Discovery;
 use rqp_catalog::RqpResult;
 use rqp_ess::{anorexic_reduce, Cell, Ess, PlanId, Reduced};
@@ -145,49 +146,22 @@ impl Discovery for PlanBouquet {
 
     fn discover(&self, rt: &RobustRuntime<'_>, qa: Cell) -> DiscoveryTrace {
         let qa_loc = rt.grid().location(qa);
-        let band_hist = crate::obs::band_histogram(self.name());
         let mut sup = rt.supervisor(self.name());
-        let mut steps = Vec::new();
-        let mut total = 0.0;
-        let tracer = rqp_obs::current();
         for band in 0..rt.num_bands() {
-            // overlap compilation with execution: while this contour's
-            // plans run, a background task floods the next band
-            rt.prefetch_band(band + 1);
-            let mut band_span = tracer
-                .span(rqp_obs::names::SPAN_CONTOUR_BAND, rqp_obs::SpanKind::Contour)
-                .with_histogram(&band_hist);
-            band_span.attr("band", band as u64);
-            let _band_span = band_span;
+            let _band_span = sup.band_span(band);
             for &(plan_id, budget) in self.band_plans(rt, band).iter() {
                 let plan = self.plan_node(rt, plan_id);
                 // graceful degradation: a plan whose supervision gave up
                 // (or that is quarantined) falls through to the next
                 // contour plan — the doubling walk absorbs the skip
-                let Some(out) = sup.execute_full(
-                    &rt.engine,
-                    &plan,
-                    &PlanRef::Posp(plan_id),
-                    band,
-                    &qa_loc,
-                    budget,
-                    &mut total,
-                    &mut steps,
-                ) else {
+                let plan_ref = PlanRef::Posp(plan_id);
+                let Some(out) =
+                    sup.execute_full(&rt.engine, &plan, &plan_ref, band, &qa_loc, budget)
+                else {
                     continue;
                 };
                 if out.completed() {
-                    let trace = DiscoveryTrace {
-                        algo: self.name(),
-                        qa,
-                        steps,
-                        total_cost: total,
-                        oracle_cost: rt.oracle_cost(qa),
-                        failure: None,
-                        quarantined: sup.quarantined(),
-                    };
-                    crate::obs::record_trace(&trace);
-                    return trace;
+                    return sup.finish(qa, rt.oracle_cost(qa), None);
                 }
             }
         }
@@ -195,18 +169,8 @@ impl Discovery for PlanBouquet {
         // completes); with a δ-perturbed engine (§7) actual costs can
         // overshoot every budget — or chaos can quarantine every contour
         // plan — so run the final plan to completion.
-        run_to_completion(rt, None, &qa_loc, &mut sup, &mut steps, &mut total);
-        let trace = DiscoveryTrace {
-            algo: self.name(),
-            qa,
-            steps,
-            total_cost: total,
-            oracle_cost: rt.oracle_cost(qa),
-            failure: None,
-            quarantined: sup.quarantined(),
-        };
-        crate::obs::record_trace(&trace);
-        trace
+        run_to_completion(rt, None, &qa_loc, &mut sup);
+        sup.finish(qa, rt.oracle_cost(qa), None)
     }
 }
 
@@ -219,9 +183,7 @@ pub(crate) fn run_to_completion(
     rt: &RobustRuntime<'_>,
     know: Option<&Knowledge>,
     qa_loc: &rqp_catalog::SelVector,
-    sup: &mut crate::supervise::Supervisor,
-    steps: &mut Vec<Step>,
-    total: &mut f64,
+    sup: &mut Supervisor,
 ) {
     let grid = rt.grid();
     let coords: Vec<usize> = (0..grid.dims())
@@ -238,13 +200,13 @@ pub(crate) fn run_to_completion(
     // supervised attempt first (identical to the pre-chaos behaviour when
     // nothing is injected) …
     let done = sup
-        .execute_full(&rt.engine, &plan, &plan_ref, band, qa_loc, f64::INFINITY, total, steps)
+        .execute_full(&rt.engine, &plan, &plan_ref, band, qa_loc, f64::INFINITY)
         .is_some_and(|out| out.completed());
     // … but the terminal safety net must finish: if supervision gave up or
     // a spurious exhaust masqueraded as an expiry, the injector-free
     // engine settles it
     if !done {
-        sup.finish_clean(&rt.engine, &plan, &plan_ref, band, qa_loc, total, steps);
+        sup.finish_clean(&rt.engine, &plan, &plan_ref, band, qa_loc);
     }
 }
 
@@ -255,21 +217,15 @@ pub(crate) fn run_to_completion(
 /// from the contour currently being explored") and its D-dimensional and
 /// AlignedBound generalizations. Plans run in regular (non-spill) mode —
 /// spilling in the 1-D case weakens the bound.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn bouquet_endgame(
     rt: &RobustRuntime<'_>,
     know: &Knowledge,
     start_band: usize,
-    qa: Cell,
     qa_loc: &rqp_catalog::SelVector,
-    sup: &mut crate::supervise::Supervisor,
-    steps: &mut Vec<Step>,
-    total: &mut f64,
+    sup: &mut Supervisor,
 ) {
     let grid = rt.grid();
     for band in start_band..rt.num_bands() {
-        // keep the next band flooding while this one's plans execute
-        rt.prefetch_band(band + 1);
         // distinct plans on the effective slice of this band, with budgets
         let plans = by_budget(
             rt.band_cells(band)
@@ -282,16 +238,9 @@ pub(crate) fn bouquet_endgame(
             let plan = rt.plan(plan_id);
             // a plan whose supervision gave up falls through to the next
             // one, exactly like a budget expiry
-            let Some(out) = sup.execute_full(
-                &rt.engine,
-                &plan,
-                &PlanRef::Posp(plan_id),
-                band,
-                qa_loc,
-                budget,
-                total,
-                steps,
-            ) else {
+            let plan_ref = PlanRef::Posp(plan_id);
+            let Some(out) = sup.execute_full(&rt.engine, &plan, &plan_ref, band, qa_loc, budget)
+            else {
                 continue;
             };
             if out.completed() {
@@ -301,8 +250,7 @@ pub(crate) fn bouquet_endgame(
     }
     // only reachable with a δ-perturbed engine or under chaos; see
     // `run_to_completion`
-    let _ = qa;
-    run_to_completion(rt, Some(know), qa_loc, sup, steps, total);
+    run_to_completion(rt, Some(know), qa_loc, sup);
 }
 
 #[cfg(test)]

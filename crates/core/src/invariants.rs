@@ -166,16 +166,16 @@ mod tests {
     #[test]
     fn trace_accounting_accepts_consistent_and_rejects_corrupt_traces() {
         use crate::trace::{ExecMode, PlanRef, Step};
-        let step = |spent: f64| {
-            Step::clean(
-                0,
-                PlanRef::Posp(rqp_ess::PlanId(0)),
-                ExecMode::Full,
-                10.0,
-                spent,
-                true,
-                None,
-            )
+        let step = |spent: f64| Step {
+            band: 0,
+            plan: PlanRef::Posp(rqp_ess::PlanId(0)),
+            mode: ExecMode::Full,
+            budget: 10.0,
+            spent,
+            completed: true,
+            learned: None,
+            attempt: 0,
+            faulted: false,
         };
         let mut t = DiscoveryTrace {
             algo: "T",

@@ -29,43 +29,18 @@ impl Discovery for NativeOptimizer {
         let band = rt.band_of(qa);
         let mut sup = rt.supervisor(self.name());
         let plan_ref = PlanRef::Bespoke(Arc::clone(&plan));
-        let mut steps = Vec::new();
-        let mut total = 0.0;
         // the traditional optimizer has exactly one plan and no fallback:
         // if it keeps faulting past the retry budget, the honest outcome is
         // a structured failure (with all sunk work accounted), not an abort
         let completed = sup
-            .execute_full(
-                &rt.engine,
-                &plan,
-                &plan_ref,
-                band,
-                &qa_loc,
-                f64::INFINITY,
-                &mut total,
-                &mut steps,
-            )
+            .execute_full(&rt.engine, &plan, &plan_ref, band, &qa_loc, f64::INFINITY)
             .is_some_and(|out| out.completed());
-        let failure = if completed {
-            None
-        } else {
-            Some(
-                "native plan failed beyond the retry budget; \
-                 the traditional optimizer has no fallback plan"
-                    .to_string(),
-            )
-        };
-        let trace = DiscoveryTrace {
-            algo: self.name(),
-            qa,
-            steps,
-            total_cost: total,
-            oracle_cost: rt.oracle_cost(qa),
-            failure,
-            quarantined: sup.quarantined(),
-        };
-        crate::obs::record_trace(&trace);
-        trace
+        let failure = (!completed).then(|| {
+            "native plan failed beyond the retry budget; \
+             the traditional optimizer has no fallback plan"
+                .to_string()
+        });
+        sup.finish(qa, rt.oracle_cost(qa), failure)
     }
 }
 

@@ -1,14 +1,16 @@
 //! Instrumentation shared by the discovery algorithms.
 //!
-//! Every algorithm funnels its finished [`DiscoveryTrace`] through
-//! [`record_trace`], which bumps the per-algorithm run/step/completion
-//! counters and — when an event sink is installed — replays the trace's
-//! learned selectivities as `learned_selectivity` events and emits one
+//! The [`crate::Supervisor`] records each discovery step as it happens
+//! (the per-algorithm step counter and, when an event sink is installed, a
+//! `learned_selectivity` event per learning step) and hands the finished
+//! [`DiscoveryTrace`] to [`record_trace`] once, which bumps the run,
+//! completion and structured-failure counters and emits one
 //! `discovery_complete` summary. Discovery runs in rayon threads during
 //! exhaustive MSO evaluation, so everything here is lock-free past the
 //! registry lookup.
 
 use crate::trace::DiscoveryTrace;
+use rqp_catalog::EppId;
 use rqp_obs::{global, labeled, names, Counter, Histogram};
 use std::sync::Arc;
 
@@ -77,11 +79,25 @@ pub(crate) fn deadline_stop(_algo: &str) {
     global().counter(names::SUPERVISOR_DEADLINE_STOPS).inc();
 }
 
-/// Account a finished discovery run.
+/// Emit one `learned_selectivity` event for a step that learnt `epp`.
+pub(crate) fn learned_selectivity(algo: &str, band: usize, epp: EppId, value: f64, exact: bool) {
+    if rqp_obs::events_enabled() {
+        rqp_obs::emit(
+            rqp_obs::Event::new(names::EV_LEARNED_SELECTIVITY)
+                .with("algo", algo)
+                .with("band", band as u64)
+                .with("epp", epp.0 as u64)
+                .with("value", value)
+                .with("exact", exact),
+        );
+    }
+}
+
+/// Account a finished discovery run (its steps were counted as the
+/// supervisor recorded them).
 pub(crate) fn record_trace(trace: &DiscoveryTrace) {
     let algo = trace.algo;
     algo_counter(names::DISCOVERY_RUNS, algo).inc();
-    algo_counter(names::DISCOVERY_STEPS, algo).add(trace.steps.len() as u64);
     if trace.steps.last().is_some_and(|s| s.completed) {
         algo_counter(names::DISCOVERY_COMPLETED, algo).inc();
     }
@@ -98,18 +114,6 @@ pub(crate) fn record_trace(trace: &DiscoveryTrace) {
         }
     }
     if rqp_obs::events_enabled() {
-        for step in &trace.steps {
-            if let Some((epp, value, exact)) = step.learned {
-                rqp_obs::emit(
-                    rqp_obs::Event::new(names::EV_LEARNED_SELECTIVITY)
-                        .with("algo", algo)
-                        .with("band", step.band as u64)
-                        .with("epp", epp.0 as u64)
-                        .with("value", value)
-                        .with("exact", exact),
-                );
-            }
-        }
         rqp_obs::emit(
             rqp_obs::Event::new(names::EV_DISCOVERY_COMPLETE)
                 .with("algo", algo)

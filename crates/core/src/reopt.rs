@@ -73,8 +73,6 @@ impl Discovery for ReOptimizer {
         let mut believed = rt.estimated_location().clone();
         let mut observed = vec![false; grid.dims()];
         let mut sup = rt.supervisor(self.name());
-        let mut steps = Vec::new();
-        let mut total = 0.0;
 
         // each round observes ≥1 new epp or completes; D+1 bounds rounds
         for _round in 0..=grid.dims() {
@@ -119,90 +117,40 @@ impl Discovery for ReOptimizer {
                         band,
                         &qa_loc,
                         f64::INFINITY,
-                        &mut total,
-                        &mut steps,
                     );
                     if done.is_none() {
                         // the observing subtree failed beyond the retry
                         // budget: without the observation this class has no
                         // recovery path, so report a structured failure
                         // with all sunk work accounted
-                        let trace = DiscoveryTrace {
-                            algo: self.name(),
-                            qa,
-                            steps,
-                            total_cost: total,
-                            oracle_cost: rt.oracle_cost(qa),
-                            failure: Some(format!(
-                                "reoptimization aborted: observing subtree for \
-                                 epp {e} failed beyond the retry budget"
-                            )),
-                            quarantined: sup.quarantined(),
-                        };
-                        crate::obs::record_trace(&trace);
-                        return trace;
+                        let failure = format!(
+                            "reoptimization aborted: observing subtree for \
+                             epp {e} failed beyond the retry budget"
+                        );
+                        return sup.finish(qa, rt.oracle_cost(qa), Some(failure));
                     }
                     // the subtree run only produced an observation, not the
-                    // query result: rewrite the supervisor's final step to
-                    // say so
-                    if let Some(last) = steps.last_mut() {
-                        last.completed = false;
-                        last.learned = Some((e, qa_loc.get(e.0).value(), true));
-                    }
+                    // query result
+                    sup.observed(e, qa_loc.get(e.0).value());
                     // loop: reoptimize with the corrected beliefs
                 }
                 None => {
                     // all observations in range: the plan runs to the end
                     let plan_ref = PlanRef::Bespoke(Arc::clone(&plan));
                     let completed = sup
-                        .execute_full(
-                            &rt.engine,
-                            &plan,
-                            &plan_ref,
-                            band,
-                            &qa_loc,
-                            f64::INFINITY,
-                            &mut total,
-                            &mut steps,
-                        )
+                        .execute_full(&rt.engine, &plan, &plan_ref, band, &qa_loc, f64::INFINITY)
                         .is_some_and(|out| out.completed());
-                    let failure = if completed {
-                        None
-                    } else {
-                        Some(
-                            "final reoptimization round failed beyond the \
-                             retry budget"
-                                .to_string(),
-                        )
-                    };
-                    let trace = DiscoveryTrace {
-                        algo: self.name(),
-                        qa,
-                        steps,
-                        total_cost: total,
-                        oracle_cost: rt.oracle_cost(qa),
-                        failure,
-                        quarantined: sup.quarantined(),
-                    };
-                    crate::obs::record_trace(&trace);
-                    return trace;
+                    let failure = (!completed).then(|| {
+                        "final reoptimization round failed beyond the retry budget".to_string()
+                    });
+                    return sup.finish(qa, rt.oracle_cost(qa), failure);
                 }
             }
         }
         // every round observes ≥1 new epp, so the loop always returns from
         // its completion arm; surface a broken invariant without panicking
         debug_assert!(false, "D+1 reoptimization rounds did not complete");
-        let trace = DiscoveryTrace {
-            algo: self.name(),
-            qa,
-            steps,
-            total_cost: total,
-            oracle_cost: rt.oracle_cost(qa),
-            failure: None,
-            quarantined: sup.quarantined(),
-        };
-        crate::obs::record_trace(&trace);
-        trace
+        sup.finish(qa, rt.oracle_cost(qa), None)
     }
 }
 

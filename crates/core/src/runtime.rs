@@ -17,7 +17,7 @@ use std::sync::Arc;
 /// "run-time" is lookups into this structure plus budgeted executions.
 /// With [`RobustRuntime::compile_lazy`] that offline work is deferred:
 /// only the two ladder anchors are costed up front and each contour band
-/// is flooded the first time discovery (or a prefetch) asks for it.
+/// is flooded the first time discovery asks for it.
 ///
 /// The surface is held through a [`SharedSurface`] handle so many
 /// concurrent sessions (the `rqp-serve` registry) can share one compiled
@@ -81,8 +81,8 @@ impl<'a> RobustRuntime<'a> {
 
     /// Admit the query against a *lazy anytime* surface: only the ladder
     /// anchors (origin and terminus) are costed now; each contour band is
-    /// flooded the first time the discovery walk, an oracle peek, or a
-    /// [`RobustRuntime::prefetch_band`] reaches it.
+    /// flooded the first time the discovery walk or an oracle peek reaches
+    /// it.
     pub fn compile_lazy(
         catalog: &'a Catalog,
         query: &'a Query,
@@ -251,14 +251,6 @@ impl<'a> RobustRuntime<'a> {
         match &self.surface.surface {
             Surface::Eager(ess) => ess.contours.num_bands(),
             Surface::Lazy(lazy) => lazy.bands_compiled(),
-        }
-    }
-
-    /// Ask a background task to compile through `band` while the caller
-    /// keeps executing on lower bands (no-op on an eager surface).
-    pub fn prefetch_band(&self, band: usize) {
-        if let Some(lazy) = self.surface.as_lazy() {
-            lazy.prefetch(band);
         }
     }
 

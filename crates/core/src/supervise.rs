@@ -24,12 +24,14 @@
 //! most `Σ_{i=0..R} backoff^i` budgets across attempts plus one clean
 //! budget for the last resort.
 
-use crate::trace::{ExecMode, PlanRef, Step};
+use crate::trace::{DiscoveryTrace, ExecMode, PlanRef, Step};
 use rqp_catalog::{EppId, SelVector};
+use rqp_ess::Cell;
 use rqp_executor::{Engine, ExecOutcome, SpillOutcome};
-use rqp_obs::{names as obs_names, Deadline, SpanKind};
+use rqp_obs::{names as obs_names, Counter, Deadline, Histogram, SpanGuard, SpanKind};
 use rqp_qplan::{Fingerprint, PlanNode};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Bounded-retry policy for supervised executions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,11 +84,15 @@ pub struct SupervisorStats {
     pub deadline_stops: u32,
 }
 
-/// Per-run supervision state: retry bookkeeping and the quarantine set.
+/// Per-run supervision state and the run's ledger.
 ///
 /// One supervisor lives for one `discover` call; quarantine is therefore
 /// scoped to a run, matching the paper's per-query discovery model (a
-/// plan that misbehaves for this instance may be fine for the next).
+/// plan that misbehaves for this instance may be fine for the next). The
+/// supervisor is the only writer of the run's ledger: every attempt's
+/// [`Step`], its charge against the running total, its `execution` span
+/// and its per-step metrics are recorded in one place, and
+/// [`Supervisor::finish`] turns the ledger into the [`DiscoveryTrace`].
 pub struct Supervisor {
     algo: &'static str,
     policy: RetryPolicy,
@@ -99,12 +105,43 @@ pub struct Supervisor {
     /// The discovery run's causal tracer (the thread's current tracer at
     /// construction; disabled outside traced serve sessions).
     tracer: rqp_obs::Tracer,
+    /// `rqp_discovery_steps_total{algo}`, bumped as each step is recorded.
+    steps_total: Arc<Counter>,
+    /// The algorithm's band-latency histogram.
+    band_hist: Arc<Histogram>,
     /// Total failures per plan fingerprint.
     fails: HashMap<u64, u32>,
     /// Fingerprints banned for the rest of the run.
     quarantined: BTreeSet<u64>,
+    /// Every execution of the run, in order.
+    steps: Vec<Step>,
+    /// Sum of the steps' charges, accumulated in step order.
+    total: f64,
     /// Accumulated run statistics.
     pub stats: SupervisorStats,
+}
+
+/// What the ledger reads off an engine outcome: the reported charge,
+/// whether the plan (or spilled subtree) completed, whether a fault killed
+/// it, and the `(value, exact)` it learnt in spill mode.
+type Reading = (f64, bool, bool, Option<(f64, bool)>);
+
+trait Outcome {
+    fn read(&self) -> Reading;
+}
+
+impl Outcome for ExecOutcome {
+    fn read(&self) -> Reading {
+        (self.spent(), self.completed(), self.failed(), None)
+    }
+}
+
+impl Outcome for SpillOutcome {
+    fn read(&self) -> Reading {
+        let exact = self.learned.is_exact();
+        let learned = (!self.failed).then(|| (self.learned.value(), exact));
+        (self.spent, !self.failed && exact, self.failed, learned)
+    }
 }
 
 impl Supervisor {
@@ -115,8 +152,12 @@ impl Supervisor {
             policy,
             deadline: Deadline::none(),
             tracer: rqp_obs::current(),
+            steps_total: crate::obs::algo_counter(obs_names::DISCOVERY_STEPS, algo),
+            band_hist: crate::obs::band_histogram(algo),
             fails: HashMap::new(),
             quarantined: BTreeSet::new(),
+            steps: Vec::new(),
+            total: 0.0,
             stats: SupervisorStats::default(),
         }
     }
@@ -177,13 +218,93 @@ impl Supervisor {
         }
     }
 
+    /// Whether a failed attempt should be retried: not once the plan is
+    /// quarantined, retries are spent, or the deadline has lapsed. A retry
+    /// is counted here.
+    fn retry(&mut self, fp: u64, attempt: u32, budget: f64) -> bool {
+        self.record_failure(fp);
+        if self.quarantined.contains(&fp)
+            || attempt >= self.policy.max_retries
+            || self.winding_down()
+        {
+            return false;
+        }
+        self.stats.retries += 1;
+        crate::obs::supervisor_retry(self.algo, attempt + 1, budget);
+        true
+    }
+
+    /// Open the `contour_band` span for `band`, timed into the algorithm's
+    /// band-latency histogram.
+    pub(crate) fn band_span(&self, band: usize) -> SpanGuard {
+        let mut span = self
+            .tracer
+            .span(obs_names::SPAN_CONTOUR_BAND, SpanKind::Contour)
+            .with_histogram(&self.band_hist);
+        span.attr("band", band as u64);
+        span
+    }
+
+    /// Open the `discovery_step` span of one logical execution.
+    fn step_span(&self, band: usize, mode: &'static str) -> SpanGuard {
+        let mut span = self.tracer.span(obs_names::SPAN_DISCOVERY_STEP, SpanKind::Step);
+        span.attr("band", band as u64);
+        span.attr("mode", mode);
+        span
+    }
+
+    /// One engine call, recorded: run it under its `execution` span,
+    /// charge its sanitised expenditure to the total, push its [`Step`],
+    /// and count it (plus a `learned_selectivity` event if it learnt).
+    fn attempt<O: Outcome>(
+        &mut self,
+        band: usize,
+        plan: &PlanRef,
+        mode: ExecMode,
+        budget: f64,
+        attempt: u32,
+        run: impl FnOnce(f64) -> O,
+    ) -> O {
+        let mut span = self.tracer.span(obs_names::SPAN_EXECUTION, SpanKind::Execution);
+        let out = run(budget);
+        let (reported, completed, faulted, observed) = out.read();
+        let spent = Self::sanitize(reported);
+        self.total += spent;
+        span.attr("band", band as u64);
+        span.attr("attempt", attempt as u64);
+        span.attr("budget", budget);
+        span.attr("spent", spent);
+        span.attr("completed", completed);
+        span.attr("faulted", faulted);
+        drop(span);
+        let learned = match mode {
+            ExecMode::Spill(epp) => observed.map(|(value, exact)| (epp, value, exact)),
+            ExecMode::Full => None,
+        };
+        self.steps.push(Step {
+            band,
+            plan: plan.clone(),
+            mode,
+            budget,
+            spent,
+            completed,
+            learned,
+            attempt,
+            faulted,
+        });
+        self.steps_total.inc();
+        if let Some((epp, value, exact)) = learned {
+            crate::obs::learned_selectivity(self.algo, band, epp, value, exact);
+        }
+        out
+    }
+
     /// A full (non-spill) budgeted execution under supervision.
     ///
-    /// Pushes one [`Step`] per attempt and charges every attempt's sunk
-    /// work into `total`. Returns the final non-failed outcome, or `None`
-    /// when the plan is quarantined or retries ran dry — the caller then
-    /// degrades (PlanBouquet falls through to the next contour plan).
-    #[allow(clippy::too_many_arguments)]
+    /// Records one [`Step`] per attempt, every attempt's sunk work charged.
+    /// Returns the final non-failed outcome, or `None` when the plan is
+    /// quarantined or retries ran dry — the caller then degrades
+    /// (PlanBouquet falls through to the next contour plan).
     pub fn execute_full(
         &mut self,
         engine: &Engine<'_>,
@@ -192,56 +313,24 @@ impl Supervisor {
         band: usize,
         qa_loc: &SelVector,
         budget: f64,
-        total: &mut f64,
-        steps: &mut Vec<Step>,
     ) -> Option<ExecOutcome> {
         let fp = Fingerprint::of(plan).0;
         if self.quarantined.contains(&fp) {
             return None;
         }
-        let mut step_span = self.tracer.span(obs_names::SPAN_DISCOVERY_STEP, SpanKind::Step);
-        step_span.attr("band", band as u64);
-        step_span.attr("mode", "full");
+        let _step_span = self.step_span(band, "full");
         let mut b = budget;
         for attempt in 0..=self.policy.max_retries {
-            let mut exec_span = self.tracer.span(obs_names::SPAN_EXECUTION, SpanKind::Execution);
-            let out = engine.execute_budgeted(plan, qa_loc, b);
-            let spent = Self::sanitize(out.spent());
-            *total += spent;
-            let faulted = out.failed();
-            exec_span.attr("band", band as u64);
-            exec_span.attr("attempt", attempt as u64);
-            exec_span.attr("budget", b);
-            exec_span.attr("spent", spent);
-            exec_span.attr("completed", out.completed());
-            exec_span.attr("faulted", faulted);
-            drop(exec_span);
-            steps.push(Step {
-                band,
-                plan: plan_ref.clone(),
-                mode: ExecMode::Full,
-                budget: b,
-                spent,
-                completed: out.completed(),
-                learned: None,
-                attempt,
-                faulted,
+            let out = self.attempt(band, plan_ref, ExecMode::Full, b, attempt, |b| {
+                engine.execute_budgeted(plan, qa_loc, b)
             });
-            if !faulted {
+            if !out.failed() {
                 return Some(out);
             }
-            self.record_failure(fp);
-            if self.quarantined.contains(&fp) {
+            if !self.retry(fp, attempt, b) {
                 break;
             }
-            if attempt < self.policy.max_retries {
-                if self.winding_down() {
-                    break;
-                }
-                self.stats.retries += 1;
-                crate::obs::supervisor_retry(self.algo, attempt + 1, b);
-                b *= self.policy.backoff;
-            }
+            b *= self.policy.backoff;
         }
         self.stats.gave_up += 1;
         None
@@ -249,9 +338,8 @@ impl Supervisor {
 
     /// The terminal safety net's execution: run `plan` with an unbounded
     /// budget on the injector-free engine. No fault can strike it and an
-    /// unbounded budget cannot expire, so the pushed [`Step`] is always
-    /// completed — discovery is guaranteed to terminate with a result.
-    #[allow(clippy::too_many_arguments)]
+    /// unbounded budget cannot expire, so the recorded [`Step`] completes —
+    /// discovery is guaranteed to terminate with a result.
     pub fn finish_clean(
         &mut self,
         engine: &Engine<'_>,
@@ -259,34 +347,14 @@ impl Supervisor {
         plan_ref: &PlanRef,
         band: usize,
         qa_loc: &SelVector,
-        total: &mut f64,
-        steps: &mut Vec<Step>,
     ) {
         self.stats.last_resort += 1;
         crate::obs::last_resort(self.algo);
-        let mut step_span = self.tracer.span(obs_names::SPAN_DISCOVERY_STEP, SpanKind::Step);
-        step_span.attr("band", band as u64);
-        step_span.attr("mode", "last_resort");
-        let mut exec_span = self.tracer.span(obs_names::SPAN_EXECUTION, SpanKind::Execution);
-        let out = engine.without_injector().execute_budgeted(plan, qa_loc, f64::INFINITY);
-        let spent = Self::sanitize(out.spent());
-        *total += spent;
-        exec_span.attr("band", band as u64);
-        exec_span.attr("attempt", (self.policy.max_retries + 1) as u64);
-        exec_span.attr("spent", spent);
-        exec_span.attr("completed", true);
-        exec_span.attr("faulted", false);
-        drop(exec_span);
-        steps.push(Step {
-            band,
-            plan: plan_ref.clone(),
-            mode: ExecMode::Full,
-            budget: f64::INFINITY,
-            spent,
-            completed: true,
-            learned: None,
-            attempt: self.policy.max_retries + 1,
-            faulted: false,
+        let _step_span = self.step_span(band, "last_resort");
+        let clean = engine.without_injector();
+        let last = self.policy.max_retries + 1;
+        self.attempt(band, plan_ref, ExecMode::Full, f64::INFINITY, last, |b| {
+            clean.execute_budgeted(plan, qa_loc, b)
         });
     }
 
@@ -310,106 +378,68 @@ impl Supervisor {
         qa_loc: &SelVector,
         budget: f64,
         refine: bool,
-        total: &mut f64,
-        steps: &mut Vec<Step>,
     ) -> SpillOutcome {
         let fp = Fingerprint::of(plan).0;
-        let run = |eng: &Engine<'_>, b: f64| {
+        let run = |eng: Engine<'_>, b: f64| {
             if refine {
                 eng.execute_spill(plan, epp, reference, qa_loc, b)
             } else {
                 eng.execute_spill_coarse(plan, epp, reference, qa_loc, b)
             }
         };
-        let mut step_span = self.tracer.span(obs_names::SPAN_DISCOVERY_STEP, SpanKind::Step);
-        step_span.attr("band", band as u64);
-        step_span.attr("mode", "spill");
+        let mode = ExecMode::Spill(epp);
+        let mut step_span = self.step_span(band, "spill");
         step_span.attr("epp", epp.0 as u64);
         let mut b = budget;
         // A lapsed deadline routes straight to the last-resort clean
         // execution below: one sound observation, no budgeted retries.
         if !self.quarantined.contains(&fp) && !self.winding_down() {
             for attempt in 0..=self.policy.max_retries {
-                let mut exec_span =
-                    self.tracer.span(obs_names::SPAN_EXECUTION, SpanKind::Execution);
-                let out = run(engine, b);
-                let spent = Self::sanitize(out.spent);
-                *total += spent;
-                exec_span.attr("band", band as u64);
-                exec_span.attr("attempt", attempt as u64);
-                exec_span.attr("budget", b);
-                exec_span.attr("spent", spent);
-                exec_span.attr("completed", !out.failed && out.learned.is_exact());
-                exec_span.attr("faulted", out.failed);
-                drop(exec_span);
+                let out = self.attempt(band, plan_ref, mode, b, attempt, |b| run(*engine, b));
                 if !out.failed {
-                    let exact = out.learned.is_exact();
-                    steps.push(Step {
-                        band,
-                        plan: plan_ref.clone(),
-                        mode: ExecMode::Spill(epp),
-                        budget: b,
-                        spent,
-                        completed: exact,
-                        learned: Some((epp, out.learned.value(), exact)),
-                        attempt,
-                        faulted: false,
-                    });
                     return out;
                 }
-                steps.push(Step {
-                    band,
-                    plan: plan_ref.clone(),
-                    mode: ExecMode::Spill(epp),
-                    budget: b,
-                    spent,
-                    completed: false,
-                    learned: None,
-                    attempt,
-                    faulted: true,
-                });
-                self.record_failure(fp);
-                if self.quarantined.contains(&fp) {
+                if !self.retry(fp, attempt, b) {
                     break;
                 }
-                if attempt < self.policy.max_retries {
-                    if self.winding_down() {
-                        break;
-                    }
-                    self.stats.retries += 1;
-                    crate::obs::supervisor_retry(self.algo, attempt + 1, b);
-                    b *= self.policy.backoff;
-                }
+                b *= self.policy.backoff;
             }
         }
         // last resort: the clean engine at the base budget, guaranteed
         // sound (no injector, so `failed` cannot be set)
         self.stats.last_resort += 1;
         crate::obs::last_resort(self.algo);
-        let mut exec_span = self.tracer.span(obs_names::SPAN_EXECUTION, SpanKind::Execution);
-        let out = run(&engine.without_injector(), budget);
-        let spent = Self::sanitize(out.spent);
-        *total += spent;
-        let exact = out.learned.is_exact();
-        exec_span.attr("band", band as u64);
-        exec_span.attr("attempt", (self.policy.max_retries + 1) as u64);
-        exec_span.attr("budget", budget);
-        exec_span.attr("spent", spent);
-        exec_span.attr("completed", exact);
-        exec_span.attr("faulted", false);
-        drop(exec_span);
-        steps.push(Step {
-            band,
-            plan: plan_ref.clone(),
-            mode: ExecMode::Spill(epp),
-            budget,
-            spent,
-            completed: exact,
-            learned: Some((epp, out.learned.value(), exact)),
-            attempt: self.policy.max_retries + 1,
-            faulted: false,
-        });
-        out
+        let last = self.policy.max_retries + 1;
+        self.attempt(band, plan_ref, mode, budget, last, |b| run(engine.without_injector(), b))
+    }
+
+    /// Mark the last step as an observation run: it executed the subtree
+    /// that measures `epp` (exactly `value`), not the query, so it did not
+    /// complete the query but learnt `epp`.
+    pub fn observed(&mut self, epp: EppId, value: f64) {
+        if let Some(last) = self.steps.last_mut() {
+            last.completed = false;
+            last.learned = Some((epp, value, true));
+            crate::obs::learned_selectivity(self.algo, last.band, epp, value, true);
+        }
+    }
+
+    /// Close the run and build its [`DiscoveryTrace`] from the ledger. The
+    /// per-run metrics (runs, completions, structured failures and the
+    /// `discovery_complete` event) are recorded here, once.
+    pub fn finish(self, qa: Cell, oracle_cost: f64, failure: Option<String>) -> DiscoveryTrace {
+        let trace = DiscoveryTrace {
+            algo: self.algo,
+            qa,
+            quarantined: self.quarantined(),
+            steps: self.steps,
+            total_cost: self.total,
+            oracle_cost,
+            failure,
+        };
+        crate::obs::record_trace(&trace);
+        debug_assert_eq!(crate::invariants::check_trace_accounting(&trace), Ok(()));
+        trace
     }
 }
 

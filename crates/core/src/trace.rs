@@ -63,23 +63,6 @@ pub struct Step {
     pub faulted: bool,
 }
 
-impl Step {
-    /// A first-attempt, un-faulted step (the common case; chaos-aware call
-    /// sites override `attempt`/`faulted` explicitly).
-    #[allow(clippy::too_many_arguments)]
-    pub fn clean(
-        band: usize,
-        plan: PlanRef,
-        mode: ExecMode,
-        budget: f64,
-        spent: f64,
-        completed: bool,
-        learned: Option<(EppId, f64, bool)>,
-    ) -> Self {
-        Step { band, plan, mode, budget, spent, completed, learned, attempt: 0, faulted: false }
-    }
-}
-
 /// The complete discovery record for one query instance.
 #[derive(Debug, Clone)]
 pub struct DiscoveryTrace {
@@ -192,7 +175,17 @@ mod tests {
     use super::*;
 
     fn step(band: usize, spent: f64, completed: bool) -> Step {
-        Step::clean(band, PlanRef::Posp(PlanId(0)), ExecMode::Full, spent, spent, completed, None)
+        Step {
+            band,
+            plan: PlanRef::Posp(PlanId(0)),
+            mode: ExecMode::Full,
+            budget: spent,
+            spent,
+            completed,
+            learned: None,
+            attempt: 0,
+            faulted: false,
+        }
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! not describe. An entry whose *recorded* fingerprint disagrees with its
 //! file name (manual tampering, partial copy), whose trailing FNV-1a
 //! checksum disagrees with its payload (bit rot, torn write), or that
-//! fails to decode (including entries in an older format) is invalidated
+//! fails to decode (including entries in an older format) or to restore
+//! to a valid surface ([`CompileCache::restore`]) is invalidated
 //! on load — **quarantined** to `<name>.corrupt` (counted by
 //! `rqp_ess_cache_corrupt_total`) rather than silently deleted, so
 //! operators keep the evidence while the rebuilt surface replaces the
@@ -25,7 +26,7 @@
 
 use crate::posp::CompileMode;
 use crate::snapshot::PospSnapshot;
-use crate::EssConfig;
+use crate::{Ess, EssConfig};
 use rqp_catalog::{Catalog, Query, RqpError, RqpResult};
 use rqp_qplan::{CostModel, StableHasher};
 use std::path::{Path, PathBuf};
@@ -150,6 +151,20 @@ impl CompileCache {
             Ok(snap) => Some(snap),
             Err(e) => {
                 self.quarantine(&path, &e);
+                None
+            }
+        }
+    }
+
+    /// Load and restore the surface cached under `fp`. An entry that
+    /// decodes but does not restore to a valid surface is quarantined and
+    /// counted like any other damaged entry, so it is never silently
+    /// re-read as a plain miss.
+    pub fn restore(&self, fp: u64) -> Option<Ess> {
+        match self.load(fp)?.restore() {
+            Ok(ess) => Some(ess),
+            Err(e) => {
+                self.quarantine(&self.entry_path(fp), &e);
                 None
             }
         }

@@ -27,12 +27,10 @@
 //!
 //! Concurrency: one [`parking_lot::Mutex`] guards the frontier, making
 //! band materialization single-flight — peers that ask for a band already
-//! being compiled block only until *that* band is done, and a rayon
-//! background task ([`LazyEss::prefetch`]) can keep compiling band `k+1`
-//! while discovery executes on band `k`. Costing inside a band is
-//! parallelized with rayon; the calling thread participates in its own
-//! `par_iter`, so holding the frontier lock across it cannot deadlock the
-//! pool.
+//! being compiled block only until *that* band is done. Costing inside a
+//! band is parallelized with rayon; the calling thread participates in its
+//! own `par_iter`, so holding the frontier lock across it cannot deadlock
+//! the pool.
 
 use crate::contours::{band_index, band_index_clamped};
 use crate::grid::{Cell, Grid};
@@ -45,7 +43,7 @@ use rqp_catalog::{Catalog, Query, RqpError, RqpResult};
 use rqp_obs::{JsonValue, Stopwatch};
 use rqp_optimizer::{Optimizer, OptimizerConfig};
 use rqp_qplan::{cost_eq, CostModel, Fingerprint, PlanNode};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Sentinel for "not yet banded" in the frontier's `band_of` table.
@@ -188,8 +186,6 @@ pub struct LazyEss {
     /// The finished, canonicalized surface (error kept as text so the
     /// result is cloneable out of the cell).
     finished: OnceLock<Result<Arc<Ess>, String>>,
-    /// Highest band any prefetch has been asked for (coalesces spawns).
-    prefetch_hi: AtomicUsize,
 }
 
 impl LazyEss {
@@ -245,7 +241,6 @@ impl LazyEss {
             is_seed,
             state: Mutex::new(Frontier::new(0)),
             finished: OnceLock::new(),
-            prefetch_hi: AtomicUsize::new(0),
         };
 
         let mut st = Frontier::new(this.grid.num_cells());
@@ -591,23 +586,6 @@ impl LazyEss {
     /// All plan ids discovered so far (the pool grows as bands compile).
     pub fn plan_pool(&self) -> Vec<PlanId> {
         (0..self.state.lock().registry.len() as u32).map(PlanId).collect()
-    }
-
-    /// Ask a rayon background task to compile through `band` while the
-    /// caller keeps executing on lower bands. Coalesced: only a request
-    /// above every previous one spawns a task.
-    pub fn prefetch(self: &Arc<Self>, band: usize) {
-        let target = band.min(self.num_bands() - 1);
-        // +1 so the initial value 0 doesn't swallow a request for band 0
-        if self.prefetch_hi.fetch_max(target + 1, Ordering::SeqCst) > target {
-            return;
-        }
-        let this = Arc::clone(self);
-        rayon::spawn(move || {
-            // chase the latest coalesced target, not just our own
-            let hi = this.prefetch_hi.load(Ordering::SeqCst).saturating_sub(1);
-            this.compile_through(hi);
-        });
     }
 
     /// Flood the remaining bands with `opt` (the optimizer the compile

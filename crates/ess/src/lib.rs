@@ -132,7 +132,7 @@ impl Ess {
             compile_fingerprint(optimizer.catalog(), optimizer.query(), &optimizer.model(), &config)
         });
         if let (Some(cache), Some(fp)) = (cache, fingerprint) {
-            if let Some(ess) = cache.load(fp).and_then(|snap| snap.restore().ok()) {
+            if let Some(ess) = cache.restore(fp) {
                 m.cache_hits.inc();
                 compile_span.attr("cache", "hit");
                 m.grid_cells.set(ess.posp.grid().num_cells() as f64);

@@ -184,25 +184,3 @@ fn oracle_peeks_cost_single_cells_not_bands() {
     assert_eq!(c.to_bits(), again.to_bits());
     assert_eq!(lazy.costed_cells(), baseline + 1);
 }
-
-#[test]
-fn prefetch_compiles_ahead_in_the_background() {
-    let catalog = catalog();
-    let query = query(&catalog, 2).unwrap();
-    let cfg = config(2, CompileMode::Exact);
-    let opt = Optimizer::new(&catalog, &query, CostModel::default());
-    let lazy = LazyEss::begin(&opt, cfg).unwrap();
-    let target = lazy.num_bands() - 1;
-    lazy.prefetch(target);
-    // bounded wait for the background task; compile_through is idempotent
-    // and single-flight, so this also exercises the peer-wait path
-    for _ in 0..500 {
-        if lazy.bands_compiled() == target + 1 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    lazy.compile_through(target);
-    assert_eq!(lazy.bands_compiled(), target + 1);
-    assert_eq!(lazy.costed_cells(), lazy.grid().num_cells());
-}

@@ -5,7 +5,9 @@
 //! the older text format, or well-sealed but of the wrong shape — must
 //! decode to a structured `RqpError::Snapshot`, never a panic. Through
 //! `CompileCache::load` every damaged entry is a miss quarantined to
-//! `<name>.corrupt`.
+//! `<name>.corrupt`; through `CompileCache::restore` so is every entry that
+//! decodes but does not restore, and each quarantine is counted in
+//! `rqp_ess_cache_corrupt_total`.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -13,6 +15,11 @@ use rqp_catalog::{CatalogBuilder, QueryBuilder, RelationBuilder, RqpError};
 use rqp_ess::{compile_fingerprint, CompileCache, Ess, EssConfig, PospSnapshot};
 use rqp_optimizer::Optimizer;
 use rqp_qplan::{CostModel, StableHasher};
+use std::sync::Mutex;
+
+/// Serialises the tests that quarantine entries, so each can read its own
+/// movement of the process-wide `rqp_ess_cache_corrupt_total` counter.
+static QUARANTINES: Mutex<()> = Mutex::new(());
 
 /// `json_adversarial`'s palette: control bytes, structural JSON
 /// characters, DEL, and bytes that break UTF-8.
@@ -121,22 +128,41 @@ fn well_sealed_nonsense_is_a_structured_error() {
         assert_snapshot_error(&sealed(bad), bad);
     }
     // every damaged payload, re-sealed: decode and restore may accept one
-    // that still describes a surface, but answer the rest with errors
-    for (_, bytes) in damaged(payload.as_bytes()) {
+    // that still describes a surface, but answer the rest with errors; an
+    // entry that decodes but does not restore is a counted quarantine
+    let _serial = QUARANTINES.lock().unwrap_or_else(|e| e.into_inner());
+    let corrupt = rqp_obs::global().counter(rqp_obs::names::ESS_CACHE_CORRUPT);
+    let dir = std::env::temp_dir().join(format!("rqp-snapshot-resealed-{}", std::process::id()));
+    let cache = CompileCache::new(&dir).unwrap();
+    let mut unrestorable = 0;
+    for (what, bytes) in damaged(payload.as_bytes()) {
         let Ok(mutated) = String::from_utf8(bytes) else { continue };
-        match PospSnapshot::decode(&sealed(&mutated)) {
-            Ok((_, snap)) => {
-                if let Err(e) = snap.restore() {
-                    assert!(matches!(e, RqpError::Snapshot(_) | RqpError::Config(_)), "{e:?}");
-                }
+        let entry = sealed(&mutated);
+        match PospSnapshot::decode(&entry) {
+            Ok((recorded, snap)) => {
+                let Err(e) = snap.restore() else { continue };
+                assert!(matches!(e, RqpError::Snapshot(_) | RqpError::Config(_)), "{e:?}");
+                unrestorable += 1;
+                let path = cache.entry_path(recorded);
+                let quarantined = path.with_extension("rqpc.corrupt");
+                std::fs::write(&path, &entry).unwrap();
+                let before = corrupt.get();
+                assert!(cache.restore(recorded).is_none(), "{what}: unrestorable entry restored");
+                assert_eq!(corrupt.get(), before + 1, "{what}: quarantine not counted");
+                assert!(!path.exists(), "{what}: unrestorable entry left in place");
+                assert!(quarantined.exists(), "{what}: unrestorable entry not quarantined");
+                std::fs::remove_file(&quarantined).unwrap();
             }
             Err(e) => assert!(matches!(e, RqpError::Snapshot(_)), "{e:?}"),
         }
     }
+    assert!(unrestorable > 0, "the sweep must reach restore's own checks");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn damaged_cache_entries_are_quarantined_misses() {
+    let _serial = QUARANTINES.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("rqp-snapshot-adversarial-{}", std::process::id()));
     let cache = CompileCache::new(&dir).unwrap();
     let (fp, snap) = surface();

@@ -563,7 +563,7 @@ impl EssRegistry {
     ) -> Option<SharedSurface> {
         let cache = self.cache.as_ref()?;
         self.strike_cache_load(fp);
-        let ess = Arc::new(cache.load(fp).and_then(|snap| snap.restore().ok())?);
+        let ess = Arc::new(cache.restore(fp)?);
         let surface = SharedSurface::eager(ess);
         let shard = self.shard(fp);
         let mut map = shard.lock();
