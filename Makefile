@@ -1,13 +1,13 @@
 # Convenience targets for the robust-qp workspace.
 
-.PHONY: verify build test clippy lint lint-graph bench bench-compile bench-trace bench-lazy cache-smoke serve-smoke serve-remote-smoke trace-smoke reproduce chaos drill
+.PHONY: verify build test clippy lint lint-graph reproduce-check bench bench-compile bench-trace bench-lazy cache-smoke serve-smoke serve-remote-smoke trace-smoke reproduce chaos drill
 
 # The full pre-merge gate: release build, quiet tests, zero clippy
 # warnings, a clean rqp-lint pass (warnings denied), an acyclic lock
-# graph, the fixed-seed chaos smoke sweep, the causal-trace smoke, and
-# the scripted resilience drills.
+# graph, the fixed-seed chaos smoke sweep, the causal-trace smoke, the
+# scripted resilience drills, and the paper's tables against their golden.
 verify:
-	cargo build --release && cargo test -q && cargo clippy --workspace -- -D warnings && $(MAKE) lint && $(MAKE) lint-graph && $(MAKE) chaos && $(MAKE) trace-smoke && $(MAKE) drill
+	cargo build --release && cargo test -q && cargo clippy --workspace -- -D warnings && $(MAKE) lint && $(MAKE) lint-graph && $(MAKE) chaos && $(MAKE) trace-smoke && $(MAKE) drill && $(MAKE) reproduce-check
 
 # Resilience drills (see README, "Resilience"): crash-recovery must
 # restore every fingerprint from the disk tier with zero recompiles, and
@@ -45,9 +45,9 @@ test:
 clippy:
 	cargo clippy --workspace -- -D warnings
 
-# Full criterion sweep. The compile_cache bench records the POSP compile
-# acceleration trajectory (exact vs recost vs warm cache on the 3D coarse
-# fixture) in BENCH_4.json at the repo root.
+# The three criterion benches (compile_cache, trace_overhead,
+# compile_lazy); they write BENCH_4.json, BENCH_6.json and BENCH_7.json
+# at the repo root. The paper's tables are pinned by reproduce-check.
 bench:
 	cargo bench --workspace
 	@test -f BENCH_4.json && echo "compile perf trajectory: BENCH_4.json" || true
@@ -125,3 +125,20 @@ trace-smoke:
 
 reproduce:
 	cargo run --release -p rqp-bench --bin reproduce
+
+# The paper's tables pinned: the stdout of a Quick-scale `reproduce` run
+# (results only; wall-clock lines go to stderr) must equal the committed
+# golden byte for byte. Three runs: no cache, then a cold and a warm
+# --cache-dir run, so a snapshot restore must print what a compile prints.
+GOLDEN := crates/bench/golden/quick.txt
+reproduce-check:
+	cargo build --release -p rqp-bench --bin reproduce
+	rm -rf target/reproduce-check && mkdir -p target/reproduce-check
+	target/release/reproduce > target/reproduce-check/nocache.txt
+	diff -u $(GOLDEN) target/reproduce-check/nocache.txt
+	target/release/reproduce --cache-dir target/reproduce-check/cache > target/reproduce-check/cold.txt
+	diff -u $(GOLDEN) target/reproduce-check/cold.txt
+	test -n "$$(ls target/reproduce-check/cache)"
+	target/release/reproduce --cache-dir target/reproduce-check/cache > target/reproduce-check/warm.txt
+	diff -u $(GOLDEN) target/reproduce-check/warm.txt
+	@echo "reproduce-check: ok (no-cache, cold and warm runs match $(GOLDEN))"

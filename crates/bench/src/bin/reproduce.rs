@@ -12,6 +12,12 @@
 //! `--cache-dir` passes a persistent snapshot cache to every experiment's
 //! ESS compiles, so repeated reproduction runs skip the optimizer sweeps.
 //! Unknown experiment names or flags are rejected.
+//!
+//! Stdout carries only results, so a Quick-scale run is byte-identical
+//! from run to run (`make reproduce-check` diffs it against
+//! `crates/bench/golden/quick.txt`). Wall-clock lines (the serving
+//! section's run time, registry hit/wait split, throughput and latency,
+//! and the final total) go to stderr.
 
 use rqp_bench::*;
 use std::time::Instant;
@@ -189,9 +195,11 @@ fn main() {
     }
     if want("serve") {
         section("Serving: concurrent sessions over a shared POSP registry");
-        println!("{}", serve_experiment(scale));
+        let out = serve_experiment(scale);
+        eprint!("{}", out.timings);
+        println!("{}", out.results);
     }
-    println!("total: {:.1?}", t0.elapsed());
+    eprintln!("total: {:.1?}", t0.elapsed());
 
     if let Err(e) = rqp_bench::obs::finish(&cli.obs) {
         eprintln!("error: failed to write observability outputs: {e}");

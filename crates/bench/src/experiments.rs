@@ -8,7 +8,6 @@ use rqp_core::{
 };
 use rqp_ess::CompileCache;
 use rqp_workloads::{BenchQuery, Workload};
-use serde::Serialize;
 
 /// λ used for anorexic reduction throughout (the paper's default, §6.2).
 pub const LAMBDA: f64 = 0.2;
@@ -52,7 +51,7 @@ pub fn fig7_trace(scale: Scale, cache: Option<&CompileCache>) -> String {
 // ---------------------------------------------------------------------
 
 /// One row of the guarantee comparison.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct GuaranteeRow {
     /// Query name (`xD_Qz`).
     pub query: String,
@@ -106,7 +105,7 @@ pub fn fig9_dimensionality(scale: Scale, cache: Option<&CompileCache>) -> Vec<Gu
 // ---------------------------------------------------------------------
 
 /// One row of the empirical comparison (Figs. 10 & 11 share the runs).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EmpiricalRow {
     /// Query name.
     pub query: String,
@@ -153,7 +152,7 @@ pub fn fig10_11_empirical(scale: Scale, cache: Option<&CompileCache>) -> Vec<Emp
 
 /// The Fig. 12 histogram: fraction of ESS locations per sub-optimality bin
 /// (width 5) for PB and SB on 4D_Q91.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct HistogramResult {
     /// Bin lower edges.
     pub bins: Vec<f64>,
@@ -184,7 +183,7 @@ pub fn fig12_distribution(scale: Scale, cache: Option<&CompileCache>) -> Histogr
 // ---------------------------------------------------------------------
 
 /// One row of the AB-vs-SB comparison (Fig. 13 + Table 4 share the runs).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AlignedRow {
     /// Query name.
     pub query: String,
@@ -228,7 +227,7 @@ pub fn fig13_table4_aligned(scale: Scale, cache: Option<&CompileCache>) -> Vec<A
 // ---------------------------------------------------------------------
 
 /// One row of Table 2.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AlignmentRow {
     /// Query name.
     pub query: String,
@@ -279,7 +278,7 @@ pub fn table2_alignment(scale: Scale, cache: Option<&CompileCache>) -> Vec<Align
 /// The wall-clock experiment result (§6.3): simulated seconds for the
 /// oracle, the native optimizer, SB and AB on one 4D_Q91 instance, plus
 /// SB's full drill-down trace.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct WallClockResult {
     /// Oracle (optimal-plan) seconds — calibrated to the paper's 44 s.
     pub oracle_secs: f64,
@@ -339,7 +338,7 @@ pub fn table3_wall_clock(scale: Scale, cache: Option<&CompileCache>) -> WallCloc
 // ---------------------------------------------------------------------
 
 /// The JOB Q1a results (§6.5).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct JobResult {
     /// Native MSO with estimation errors over the whole ESS.
     pub native_mso: f64,
@@ -366,7 +365,7 @@ pub fn job_q1a(scale: Scale, cache: Option<&CompileCache>) -> JobResult {
 // ---------------------------------------------------------------------
 
 /// One row of the contour cost-ratio ablation (§4.2 remark).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RatioRow {
     /// Geometric contour ratio.
     pub ratio: f64,
@@ -394,7 +393,7 @@ pub fn ablation_cost_ratio(scale: Scale, cache: Option<&CompileCache>) -> Vec<Ra
 }
 
 /// One row of the anorexic-reduction ablation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AnorexicRow {
     /// Swallowing threshold λ.
     pub lambda: f64,
@@ -427,7 +426,7 @@ pub fn ablation_anorexic(scale: Scale, cache: Option<&CompileCache>) -> Vec<Anor
 }
 
 /// One row of the random-workload robustness sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RandomWorkloadRow {
     /// Workload seed.
     pub seed: u64,
@@ -480,7 +479,7 @@ pub fn random_workload_sweep(
 }
 
 /// One row of the heuristic-baseline comparison (§8).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BaselineRow {
     /// Query name.
     pub query: String,
@@ -523,7 +522,7 @@ pub fn baselines_comparison(scale: Scale, cache: Option<&CompileCache>) -> Vec<B
 }
 
 /// One row of the cost-model-error ablation (§7).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CostErrorRow {
     /// Cost-model error factor δ.
     pub delta: f64,
@@ -556,7 +555,7 @@ pub fn ablation_cost_error(scale: Scale, cache: Option<&CompileCache>) -> Vec<Co
 }
 
 /// One row of the grid-resolution ablation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ResolutionRow {
     /// Grid points per dimension.
     pub resolution: usize,
@@ -628,13 +627,23 @@ pub fn chaos_sweep_experiment(scale: Scale, cache: Option<&CompileCache>) -> Str
 
 // ---------------------------------------------------------------------
 
+/// The serving experiment's output, split by determinism.
+pub struct ServeOutput {
+    /// The report's `stable_render()` and the check line: identical
+    /// across runs.
+    pub results: String,
+    /// The report's wall-clock lines (`timing_render()`): they vary from
+    /// run to run.
+    pub timings: String,
+}
+
 /// The serving experiment: push a mixed multi-session workload through
 /// the concurrent `rqp-serve` scheduler and report session-level MSO/ASO
 /// over the shared POSP registry, plus throughput and latency
 /// percentiles. Sessions repeating a fingerprint must ride the registry
 /// (exactly one compile per distinct fingerprint); any violation is
-/// rendered as a SERVE VIOLATION line instead of a table.
-pub fn serve_experiment(scale: Scale) -> String {
+/// rendered as a SERVE VIOLATION line instead of a check line.
+pub fn serve_experiment(scale: Scale) -> ServeOutput {
     use rqp_serve::{serve_workload, ServeConfig};
     use rqp_workloads::parse_session_file;
 
@@ -651,7 +660,12 @@ pub fn serve_experiment(scale: Scale) -> String {
     let config = ServeConfig { workers: 8, queue_cap: total, ..ServeConfig::default() };
     let report = match serve_workload(config, &entries) {
         Ok(r) => r,
-        Err(e) => return format!("SERVE VIOLATION: {e}\n"),
+        Err(e) => {
+            return ServeOutput {
+                results: format!("SERVE VIOLATION: {e}\n"),
+                timings: String::new(),
+            }
+        }
     };
     let mut violations = Vec::new();
     if report.completed() != total as u64 {
@@ -666,10 +680,14 @@ pub fn serve_experiment(scale: Scale) -> String {
     if report.non_finite_subopts() > 0 {
         violations.push(format!("{} non-finite subopt(s)", report.non_finite_subopts()));
     }
-    if violations.is_empty() {
-        format!("{}every session completed; one compile per fingerprint\n", report.render())
+    let check = if violations.is_empty() {
+        "every session completed; one compile per fingerprint".to_string()
     } else {
-        format!("{}SERVE VIOLATION: {}\n", report.render(), violations.join("; "))
+        format!("SERVE VIOLATION: {}", violations.join("; "))
+    };
+    ServeOutput {
+        results: format!("{}{check}\n", report.stable_render()),
+        timings: report.timing_render(),
     }
 }
 
@@ -679,7 +697,7 @@ mod tests {
 
     #[test]
     fn serve_experiment_shares_compiles_at_quick_scale() {
-        let out = serve_experiment(Scale::Quick);
+        let out = serve_experiment(Scale::Quick).results;
         assert!(out.contains("one compile per fingerprint"), "{out}");
         assert!(out.contains("MSO"), "{out}");
     }

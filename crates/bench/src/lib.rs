@@ -3,12 +3,11 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 //! The experiment harness: one function per table/figure of the paper's
-//! evaluation (§6), shared by the Criterion benches and the `reproduce`
-//! binary.
+//! evaluation (§6), run by the `reproduce` binary.
 //!
 //! Every function returns structured rows and can run at two scales:
-//! [`Scale::Quick`] (coarse grids, used inside `cargo bench` so the whole
-//! suite stays in CI budgets) and [`Scale::Full`] (the DESIGN.md resolution
+//! [`Scale::Quick`] (coarse grids; its output is the committed golden
+//! `golden/quick.txt`) and [`Scale::Full`] (the DESIGN.md resolution
 //! schedule, used by `reproduce --full` to regenerate EXPERIMENTS.md).
 
 pub mod experiments;
@@ -49,7 +48,8 @@ use rqp_workloads::Workload;
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Coarse grids and sampled evaluation — seconds per experiment.
+    /// Coarse grids and sampled evaluation — seconds per experiment. The
+    /// default `reproduce` scale, pinned by `golden/quick.txt`.
     Quick,
     /// The DESIGN.md resolution schedule — minutes for the full suite.
     Full,

@@ -52,7 +52,7 @@ pub use obs::register_metrics;
 pub use reopt::ReOptimizer;
 pub use runtime::RobustRuntime;
 pub use spillbound::SpillBound;
-pub use supervise::{RetryPolicy, Supervisor, SupervisorStats};
+pub use supervise::{RetryPolicy, Supervisor};
 pub use surface::SharedSurface;
 pub use trace::{DiscoveryTrace, ExecMode, PlanRef, Step};
 

@@ -68,22 +68,6 @@ impl RetryPolicy {
     }
 }
 
-/// Run statistics the supervisor accumulates for one discovery run.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SupervisorStats {
-    /// Retried executions (beyond first attempts).
-    pub retries: u32,
-    /// Plans quarantined during the run.
-    pub quarantines: u32,
-    /// Last-resort clean executions after retries ran dry.
-    pub last_resort: u32,
-    /// Full executions abandoned (caller degraded to the next plan).
-    pub gave_up: u32,
-    /// Retries skipped because the session deadline had already lapsed
-    /// (the run winds down on first attempts and last resorts only).
-    pub deadline_stops: u32,
-}
-
 /// Per-run supervision state and the run's ledger.
 ///
 /// One supervisor lives for one `discover` call; quarantine is therefore
@@ -117,8 +101,6 @@ pub struct Supervisor {
     steps: Vec<Step>,
     /// Sum of the steps' charges, accumulated in step order.
     total: f64,
-    /// Accumulated run statistics.
-    pub stats: SupervisorStats,
 }
 
 /// What the ledger reads off an engine outcome: the reported charge,
@@ -158,7 +140,6 @@ impl Supervisor {
             quarantined: BTreeSet::new(),
             steps: Vec::new(),
             total: 0.0,
-            stats: SupervisorStats::default(),
         }
     }
 
@@ -172,16 +153,10 @@ impl Supervisor {
         self
     }
 
-    /// The policy in force.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
-    }
-
     /// Whether the session deadline has lapsed (always `false` for the
     /// default unbounded supervisor).
-    fn winding_down(&mut self) -> bool {
+    fn winding_down(&self) -> bool {
         if self.deadline.expired() {
-            self.stats.deadline_stops += 1;
             crate::obs::deadline_stop(self.algo);
             return true;
         }
@@ -213,7 +188,6 @@ impl Supervisor {
         let n = self.fails.entry(fp).or_insert(0);
         *n += 1;
         if *n >= self.policy.quarantine_after && self.quarantined.insert(fp) {
-            self.stats.quarantines += 1;
             crate::obs::plan_quarantined(self.algo, fp);
         }
     }
@@ -229,7 +203,6 @@ impl Supervisor {
         {
             return false;
         }
-        self.stats.retries += 1;
         crate::obs::supervisor_retry(self.algo, attempt + 1, budget);
         true
     }
@@ -332,7 +305,6 @@ impl Supervisor {
             }
             b *= self.policy.backoff;
         }
-        self.stats.gave_up += 1;
         None
     }
 
@@ -348,7 +320,6 @@ impl Supervisor {
         band: usize,
         qa_loc: &SelVector,
     ) {
-        self.stats.last_resort += 1;
         crate::obs::last_resort(self.algo);
         let _step_span = self.step_span(band, "last_resort");
         let clean = engine.without_injector();
@@ -407,7 +378,6 @@ impl Supervisor {
         }
         // last resort: the clean engine at the base budget, guaranteed
         // sound (no injector, so `failed` cannot be set)
-        self.stats.last_resort += 1;
         crate::obs::last_resort(self.algo);
         let last = self.policy.max_retries + 1;
         self.attempt(band, plan_ref, mode, budget, last, |b| run(engine.without_injector(), b))
@@ -464,24 +434,22 @@ mod tests {
         assert!(sup.quarantined().is_empty());
         sup.record_failure(42);
         assert_eq!(sup.quarantined(), vec![42]);
-        assert_eq!(sup.stats.quarantines, 1);
-        // repeated failures do not double-count the quarantine
+        // further failures leave the one quarantine in place
         sup.record_failure(42);
-        assert_eq!(sup.stats.quarantines, 1);
+        assert_eq!(sup.quarantined(), vec![42]);
     }
 
     #[test]
     fn a_lapsed_deadline_winds_the_supervisor_down() {
         // `core::time::Duration`, not `std::time`: this crate is under the
         // determinism lint; the wall-clock read happens inside rqp_obs.
-        let mut sup = Supervisor::new("test", RetryPolicy::default())
+        let sup = Supervisor::new("test", RetryPolicy::default())
             .with_deadline(Deadline::within(core::time::Duration::ZERO));
         assert!(sup.winding_down(), "a zero-window deadline lapses immediately");
-        assert_eq!(sup.stats.deadline_stops, 1);
+        assert!(sup.winding_down(), "a lapsed deadline stays lapsed");
         // The default supervisor is unbounded: it never winds down.
-        let mut unbounded = Supervisor::new("test", RetryPolicy::default());
+        let unbounded = Supervisor::new("test", RetryPolicy::default());
         assert!(!unbounded.winding_down());
-        assert_eq!(unbounded.stats.deadline_stops, 0);
     }
 
     #[test]

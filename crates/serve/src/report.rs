@@ -156,8 +156,29 @@ impl ServeReport {
             .collect()
     }
 
-    /// Human-readable run summary.
+    /// Human-readable run summary: [`timing_render`](Self::timing_render),
+    /// any refusal or resilience counts, then the per-group table.
     pub fn render(&self) -> String {
+        let mut s = self.timing_render();
+        if self.invalid_specs() > 0 {
+            let _ = writeln!(s, "refused {} session(s) with invalid specs", self.invalid_specs());
+        }
+        if self.degraded() + self.breaker_refused() > 0 {
+            let _ = writeln!(
+                s,
+                "resilience: {} degraded session(s), {} refused by an open breaker",
+                self.degraded(),
+                self.breaker_refused(),
+            );
+        }
+        s.push_str(&self.group_table());
+        s
+    }
+
+    /// The wall-clock dependent lines of [`render`](Self::render): run
+    /// duration, registry counters (whose hit/wait split depends on
+    /// scheduling), throughput and latency percentiles.
+    pub fn timing_render(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(
             s,
@@ -189,18 +210,6 @@ impl ServeReport {
         ) {
             let _ = writeln!(s, "latency: p50 {:.2?}   p95 {:.2?}   p99 {:.2?}", p50, p95, p99);
         }
-        if self.invalid_specs() > 0 {
-            let _ = writeln!(s, "refused {} session(s) with invalid specs", self.invalid_specs());
-        }
-        if self.degraded() + self.breaker_refused() > 0 {
-            let _ = writeln!(
-                s,
-                "resilience: {} degraded session(s), {} refused by an open breaker",
-                self.degraded(),
-                self.breaker_refused(),
-            );
-        }
-        s.push_str(&self.group_table());
         s
     }
 
