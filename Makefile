@@ -7,7 +7,7 @@
 # graph, the fixed-seed chaos smoke sweep, the causal-trace smoke, the
 # scripted resilience drills, and the paper's tables against their golden.
 verify:
-	cargo build --release && cargo test -q && cargo clippy --workspace -- -D warnings && $(MAKE) lint && $(MAKE) lint-graph && $(MAKE) chaos && $(MAKE) trace-smoke && $(MAKE) drill && $(MAKE) reproduce-check
+	cargo build --release && cargo test -q && $(MAKE) clippy && $(MAKE) lint && $(MAKE) lint-graph && $(MAKE) chaos && $(MAKE) trace-smoke && $(MAKE) drill && $(MAKE) reproduce-check
 
 # Resilience drills (see README, "Resilience"): crash-recovery must
 # restore every fingerprint from the disk tier with zero recompiles, and
@@ -42,8 +42,11 @@ build:
 test:
 	cargo test --workspace
 
+# Library targets workspace-wide; every target (tests, benches, examples)
+# of the crates whose test targets are clean so far.
 clippy:
 	cargo clippy --workspace -- -D warnings
+	cargo clippy -p rqp-ess -p rqp-core -p rqp-workloads --all-targets -- -D warnings
 
 # The three criterion benches (compile_cache, trace_overhead,
 # compile_lazy); they write BENCH_4.json, BENCH_6.json and BENCH_7.json

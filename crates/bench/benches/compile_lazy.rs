@@ -60,7 +60,7 @@ fn bench(c: &mut Criterion) {
     });
     let probe = LazyEss::begin(&opt4, cfg4).unwrap();
     probe.compile_through(0);
-    let (bands_first, bands_total) = (probe.bands_compiled(), probe.num_bands());
+    let (bands_first, bands_total) = (probe.bands_compiled(), probe.ladder().num_bands());
 
     // hand-rolled JSON: the workspace serde_json may be a stub (see
     // crates/ess/src/cache.rs), so the report is written directly

@@ -13,10 +13,11 @@
 
 use crate::supervise::RetryPolicy;
 use crate::trace::DiscoveryTrace;
-use rqp_ess::Ess;
+use rqp_ess::{Ess, Ladder};
 
-/// Relative slack for the window checks: contour edges are reconstructed
-/// through `ln`/`powi` round-trips, so exact equality is too strict.
+/// Relative slack for the window checks: cells are banded under the
+/// `cost_cmp` tolerance, so a cost may sit that far below its band's edge,
+/// and consecutive `powi` edges differ from an exact ratio by rounding.
 const SLACK: f64 = 1e-9;
 
 /// Check the compiled contour set: lower edges grow geometrically by the
@@ -58,41 +59,22 @@ pub fn debug_check_contours(ess: &Ess) {
 
 /// Check that a budget charged on band `band` respects the doubling
 /// discipline: it is at least the band's lower edge `CC_band` and (except
-/// on the open last band) below the next edge `r·CC_band`. Discovery
-/// algorithms call this at every POSP-derived budget. No-op in release
-/// builds.
-pub fn debug_check_band_budget(ess: &Ess, band: usize, budget: f64) {
-    let contours = &ess.contours;
-    debug_check_band_budget_parts(
-        contours.cc(band),
-        contours.ratio,
-        band + 1 >= contours.num_bands(),
-        band,
-        budget,
-    );
-}
-
-/// Surface-agnostic form of [`debug_check_band_budget`]: checks a budget
-/// against the band window `[lo, r·lo)` given just the ladder parts, so a
-/// lazily compiling surface can be checked band-by-band without a finished
-/// [`Ess`]. `open_above` marks the last band, whose window has no upper
-/// edge. No-op in release builds.
-pub fn debug_check_band_budget_parts(
-    lo: f64,
-    ratio: f64,
-    open_above: bool,
-    band: usize,
-    budget: f64,
-) {
+/// on the open last band) below the next edge `r·CC_band`. It needs only
+/// the ladder, so a lazily compiling surface is checked band by band
+/// without a finished [`Ess`]. Discovery algorithms call this (through
+/// `RobustRuntime::debug_check_band_budget`) at every POSP-derived
+/// budget. No-op in release builds.
+pub fn debug_check_band_budget(ladder: &Ladder, band: usize, budget: f64) {
     if !cfg!(debug_assertions) {
         return;
     }
+    let (lo, ratio) = (ladder.cc(band), ladder.ratio());
     debug_assert!(
         budget >= lo * (1.0 - SLACK),
         "band {band}: budget {budget} below contour edge {lo}"
     );
     debug_assert!(
-        open_above || budget < lo * ratio * (1.0 + SLACK),
+        band + 1 >= ladder.num_bands() || budget < lo * ratio * (1.0 + SLACK),
         "band {band}: budget {budget} breaches the doubling window (edge {lo}, ratio {ratio})"
     );
 }
@@ -158,7 +140,7 @@ mod tests {
         debug_check_contours(&ess);
         for band in 0..ess.contours.num_bands() {
             for &cell in ess.contours.cells(band) {
-                debug_check_band_budget(&ess, band, ess.posp.cost(cell));
+                debug_check_band_budget(ess.contours.ladder(), band, ess.posp.cost(cell));
             }
         }
     }
@@ -207,7 +189,11 @@ mod tests {
     #[should_panic(expected = "doubling window")]
     fn budget_above_the_window_is_rejected() {
         let ess = compiled_ess();
-        debug_check_band_budget(&ess, 0, ess.contours.cc(0) * ess.contours.ratio * 2.0);
+        debug_check_band_budget(
+            ess.contours.ladder(),
+            0,
+            ess.contours.cc(0) * ess.contours.ratio * 2.0,
+        );
     }
 
     #[test]
@@ -215,6 +201,6 @@ mod tests {
     #[should_panic(expected = "below contour edge")]
     fn budget_below_the_edge_is_rejected() {
         let ess = compiled_ess();
-        debug_check_band_budget(&ess, 1, ess.contours.cc(1) * 0.25);
+        debug_check_band_budget(ess.contours.ladder(), 1, ess.contours.cc(1) * 0.25);
     }
 }

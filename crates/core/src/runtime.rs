@@ -2,7 +2,7 @@
 
 use crate::surface::{ContourMemo, SharedSurface, Surface};
 use rqp_catalog::{Catalog, Estimator, Query, RqpError, RqpResult, SelVector};
-use rqp_ess::{Cell, CompileCache, Ess, EssConfig, Grid, LazyEss, PlanId};
+use rqp_ess::{Cell, CompileCache, Ess, EssConfig, Grid, Ladder, LazyEss, PlanId};
 use rqp_executor::Engine;
 use rqp_optimizer::Optimizer;
 use rqp_qplan::{CostModel, PlanNode};
@@ -188,28 +188,28 @@ impl<'a> RobustRuntime<'a> {
         }
     }
 
+    /// The contour ladder: band edges and doubling ratio (known up front
+    /// on a lazy surface, from its anchors).
+    pub fn ladder(&self) -> &Ladder {
+        match &self.surface.surface {
+            Surface::Eager(ess) => ess.contours.ladder(),
+            Surface::Lazy(lazy) => lazy.ladder(),
+        }
+    }
+
     /// Number of iso-cost contour bands, `m`.
     pub fn num_bands(&self) -> usize {
-        match &self.surface.surface {
-            Surface::Eager(ess) => ess.contours.num_bands(),
-            Surface::Lazy(lazy) => lazy.num_bands(),
-        }
+        self.ladder().num_bands()
     }
 
     /// Lower cost edge `CC_band` of a contour band.
     pub fn contour_cost(&self, band: usize) -> f64 {
-        match &self.surface.surface {
-            Surface::Eager(ess) => ess.contours.cc(band),
-            Surface::Lazy(lazy) => lazy.cc(band),
-        }
+        self.ladder().cc(band)
     }
 
     /// The contour doubling ratio `r`.
     pub fn contour_ratio(&self) -> f64 {
-        match &self.surface.surface {
-            Surface::Eager(ess) => ess.contours.ratio,
-            Surface::Lazy(lazy) => lazy.ratio(),
-        }
+        self.ladder().ratio()
     }
 
     /// The band a cell belongs to. On a lazy surface this is a memoized
@@ -310,13 +310,7 @@ impl<'a> RobustRuntime<'a> {
     /// Check a POSP-derived budget against the band's doubling window
     /// (debug builds only; see [`crate::invariants`]).
     pub fn debug_check_band_budget(&self, band: usize, budget: f64) {
-        crate::invariants::debug_check_band_budget_parts(
-            self.contour_cost(band),
-            self.contour_ratio(),
-            band + 1 >= self.num_bands(),
-            band,
-            budget,
-        );
+        crate::invariants::debug_check_band_budget(self.ladder(), band, budget);
     }
 
     /// Materialize the full surface: for an eager runtime a free clone of
@@ -434,10 +428,8 @@ mod tests {
         let lazy =
             RobustRuntime::compile_lazy(&catalog, &query, CostModel::default(), cfg).unwrap();
         assert!(lazy.is_lazy());
-        assert_eq!(lazy.num_bands(), eager.num_bands());
-        assert_eq!(lazy.contour_ratio(), eager.contour_ratio());
+        assert_eq!(lazy.ladder(), eager.ladder());
         for band in 0..eager.num_bands() {
-            assert_eq!(lazy.contour_cost(band), eager.contour_cost(band), "ladder edge {band}");
             assert_eq!(*lazy.band_cells(band), *eager.band_cells(band), "band {band}");
             assert_eq!(lazy.band_density(band), eager.band_density(band), "density {band}");
         }

@@ -7,6 +7,14 @@
 //! budgeted execution on band `i` uses the cost of its chosen cell (within
 //! the band, so < `r·CC_i`), and all the discovery guarantees of §3–§5
 //! survive discretization (see DESIGN.md, "Discretization of contours").
+//!
+//! The band edges form one [`Ladder`], anchored at the optimal costs of the
+//! grid's origin and terminus — under plan-cost monotonicity (PCM, §2.5)
+//! the surface's minimum and maximum. [`Ladder::band`] is the one mapping
+//! from a cost to its band. The band flood ([`crate::LazyEss`]) builds the
+//! [`ContourSet`] of every compiled surface as it floods; only a restored
+//! snapshot is banded after the fact, by [`ContourSet::build`], through the
+//! same ladder.
 
 use crate::grid::Cell;
 use crate::posp::Posp;
@@ -17,98 +25,51 @@ use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// The contour bands of a compiled ESS.
-#[derive(Debug, Clone)]
-pub struct ContourSet {
-    /// Geometric cost ratio between consecutive contours.
-    pub ratio: f64,
-    /// Lower-edge cost of each band: `cc[i] = cmin · ratio^i`.
+/// The geometric ladder of contour band edges, `cc[i] = cmin · ratio^i`,
+/// up to the band holding `cmax`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Ladder {
+    ratio: f64,
+    /// Lower (inclusive) edge of each band; `cc.len()` is the band count.
     cc: Vec<f64>,
-    band_of: Vec<u32>,
-    bands: Vec<Arc<Vec<Cell>>>,
 }
 
-/// Band index of cost `c` on the geometric ladder `cmin · ratio^k`.
-///
-/// The naive `floor(ln(c/cmin) / ln(ratio))` misclassifies costs sitting
-/// exactly on a band edge `cmin·r^k`: a few ulps of logarithm error can
-/// push the quotient to `k - ε`, flooring into band `k-1` and breaking the
-/// `[CC_i, r·CC_i)` partition invariant. The floor therefore only seeds the
-/// search; the final index is settled against the *exact* `powi` edges with
-/// the workspace cost tolerance ([`cost_cmp`]), with edge-equal costs
-/// belonging to the band whose lower (inclusive) edge they sit on.
-///
-/// # Errors
-/// Non-finite or non-positive costs have no band on the geometric ladder
-/// and return [`RqpError::Config`]. (With `c = +inf` or `NaN` the settling
-/// loop would otherwise never observe `c < cmin·r^(b+1)` — `powi` saturates
-/// at `+inf` while `cost_cmp` keeps answering `Greater` — and spin forever.)
-pub(crate) fn band_index(c: f64, cmin: f64, ratio: f64) -> RqpResult<usize> {
-    if !(c.is_finite() && c > 0.0) {
-        return Err(RqpError::Config(format!(
-            "cost {c} cannot be placed on the contour ladder (cmin {cmin}, ratio {ratio}); \
-             costs must be finite and positive"
-        )));
-    }
-    let raw = ((c / cmin).ln() / ratio.ln()).floor();
-    let mut b = if raw.is_finite() && raw > 0.0 { raw as usize } else { 0 };
-    while cost_cmp(c, cmin * ratio.powi(b as i32 + 1)) != Ordering::Less {
-        b += 1;
-    }
-    while b > 0 && cost_cmp(c, cmin * ratio.powi(b as i32)) == Ordering::Less {
-        b -= 1;
-    }
-    Ok(b)
-}
-
-/// Total variant of [`band_index`] for the band flood: degenerate costs
-/// clamp into the top band `m - 1` (an execution budgeted there is already
-/// charged the worst case) instead of erroring, and regular costs clamp
-/// like [`ContourSet::build`] does.
-pub(crate) fn band_index_clamped(c: f64, cmin: f64, ratio: f64, m: usize) -> usize {
-    debug_assert!(m >= 1);
-    match band_index(c, cmin, ratio) {
-        Ok(b) => b.min(m - 1),
-        Err(_) => m - 1,
-    }
-}
-
-impl ContourSet {
-    /// Build contour bands with the given cost ratio (the paper's default
-    /// is 2; §4.2 notes ratios like 1.8 can shave the guarantee slightly).
+impl Ladder {
+    /// The ladder anchored at `cmin` (band 0's lower edge) whose top band
+    /// holds `cmax`.
     ///
     /// # Errors
     /// Returns [`RqpError::Config`] if `ratio` is not a finite value above
-    /// 1, or if the POSP cost surface is degenerate (a non-positive or
-    /// non-finite extremum, or any non-finite per-cell cost — NaN cells
-    /// slip past the extrema check because `f64::max` ignores NaN),
-    /// instead of panicking or looping mid-compile.
-    pub fn build(posp: &Posp, ratio: f64) -> RqpResult<ContourSet> {
+    /// 1, or if the anchors are degenerate (a non-positive or non-finite
+    /// `cmin`, or a non-finite `cmax`).
+    pub fn new(cmin: f64, cmax: f64, ratio: f64) -> RqpResult<Ladder> {
         if !(ratio.is_finite() && ratio > 1.0) {
             return Err(RqpError::Config(format!("contour ratio must exceed 1, got {ratio}")));
         }
-        let cmin = posp.cmin();
-        let cmax = posp.cmax();
-        if !(cmin > 0.0 && cmax.is_finite()) {
+        if !(cmin > 0.0 && cmin.is_finite() && cmax.is_finite()) {
             return Err(RqpError::Config(format!(
                 "degenerate optimal cost surface: cmin {cmin}, cmax {cmax}"
             )));
         }
-        let m = band_index(cmax, cmin, ratio)? + 1;
-        let cc: Vec<f64> = (0..m).map(|i| cmin * ratio.powi(i as i32)).collect();
-
-        let mut band_of = vec![0u32; posp.grid().num_cells()];
-        let mut bands = vec![Vec::new(); m];
-        for cell in posp.grid().cells() {
-            let b = band_index(posp.cost(cell), cmin, ratio)?.min(m - 1);
-            band_of[cell] = b as u32;
-            bands[b].push(cell);
+        // Edges grow geometrically, so this stops once one passes `cmax`
+        // (at the latest when `powi` saturates at +inf).
+        let mut cc = vec![cmin];
+        loop {
+            let edge = cmin * ratio.powi(cc.len() as i32);
+            if cost_cmp(cmax, edge) == Ordering::Less {
+                break;
+            }
+            cc.push(edge);
         }
-        let bands = bands.into_iter().map(Arc::new).collect();
-        Ok(ContourSet { ratio, cc, band_of, bands })
+        Ok(Ladder { ratio, cc })
     }
 
-    /// Number of contours, `m`.
+    /// Geometric cost ratio between consecutive edges.
+    pub fn ratio(&self) -> f64 {
+        self.ratio
+    }
+
+    /// Number of bands, `m`.
     pub fn num_bands(&self) -> usize {
         self.cc.len()
     }
@@ -116,6 +77,104 @@ impl ContourSet {
     /// Lower-edge cost `CC_i` of band `i` (0-based).
     pub fn cc(&self, band: usize) -> f64 {
         self.cc[band]
+    }
+
+    /// The band of cost `c`: the last edge at or below it under the
+    /// workspace cost tolerance ([`cost_cmp`]), so a cost on an edge
+    /// `cmin·r^k` — or within the tolerance below it — belongs to the band
+    /// that edge opens. A cost above the top edge clamps into the top band
+    /// and one below `cmin` into band 0.
+    ///
+    /// # Errors
+    /// Non-finite or non-positive costs have no band on the ladder and
+    /// return [`RqpError::Config`].
+    pub fn band(&self, c: f64) -> RqpResult<usize> {
+        if !(c.is_finite() && c > 0.0) {
+            return Err(RqpError::Config(format!(
+                "cost {c} cannot be placed on the contour ladder (cmin {}, ratio {}); \
+                 costs must be finite and positive",
+                self.cc[0], self.ratio
+            )));
+        }
+        let at_or_below = self.cc.partition_point(|&edge| cost_cmp(c, edge) != Ordering::Less);
+        Ok(at_or_below.saturating_sub(1))
+    }
+}
+
+/// The contour bands of a compiled ESS.
+#[derive(Debug, Clone)]
+pub struct ContourSet {
+    /// Geometric cost ratio between consecutive contours.
+    pub ratio: f64,
+    ladder: Ladder,
+    /// Band of each cell ([`ContourSet::UNBANDED`] while the flood has not
+    /// reached it).
+    pub(crate) band_of: Vec<u32>,
+    /// Cell list of each band built so far, ascending by cell index.
+    pub(crate) bands: Vec<Arc<Vec<Cell>>>,
+}
+
+impl ContourSet {
+    /// Sentinel in `band_of` for a cell not banded yet.
+    pub(crate) const UNBANDED: u32 = u32::MAX;
+
+    /// An empty contour set on `ladder` for a grid of `num_cells` cells,
+    /// for the band flood to fill band by band.
+    pub(crate) fn unbanded(ladder: Ladder, num_cells: usize) -> ContourSet {
+        ContourSet {
+            ratio: ladder.ratio(),
+            ladder,
+            band_of: vec![ContourSet::UNBANDED; num_cells],
+            bands: Vec::new(),
+        }
+    }
+
+    /// Band a restored surface: build the ladder anchored at the origin
+    /// and terminus costs with the given ratio (the paper's default is 2;
+    /// §4.2 notes ratios like 1.8 can shave the guarantee slightly) and
+    /// place every cell on it.
+    ///
+    /// # Errors
+    /// Returns [`RqpError::Config`] if `ratio` is not a finite value above
+    /// 1, if an anchor cost is degenerate, if any cell cost is non-finite
+    /// or non-positive, or if some cell is cheaper than the origin or
+    /// dearer than the terminus beyond the cost tolerance. No compile
+    /// writes such a surface (PCM puts the extrema at the anchors), so it
+    /// is refused rather than clamped into a band it does not fit.
+    pub fn build(posp: &Posp, ratio: f64) -> RqpResult<ContourSet> {
+        let grid = posp.grid();
+        let (cmin, cmax) = (posp.cost(grid.origin()), posp.cost(grid.terminus()));
+        let mut contours = ContourSet::unbanded(Ladder::new(cmin, cmax, ratio)?, grid.num_cells());
+        let mut bands = vec![Vec::new(); contours.ladder.num_bands()];
+        for cell in grid.cells() {
+            let c = posp.cost(cell);
+            let b = contours.ladder.band(c)?;
+            if cost_cmp(c, cmin) == Ordering::Less || cost_cmp(c, cmax) == Ordering::Greater {
+                return Err(RqpError::Config(format!(
+                    "cell {cell} cost {c} lies outside the contour ladder's anchors \
+                     [{cmin}, {cmax}]: the surface violates plan-cost monotonicity"
+                )));
+            }
+            contours.band_of[cell] = b as u32;
+            bands[b].push(cell);
+        }
+        contours.bands = bands.into_iter().map(Arc::new).collect();
+        Ok(contours)
+    }
+
+    /// The ladder of band edges.
+    pub fn ladder(&self) -> &Ladder {
+        &self.ladder
+    }
+
+    /// Number of contours, `m`.
+    pub fn num_bands(&self) -> usize {
+        self.ladder.num_bands()
+    }
+
+    /// Lower-edge cost `CC_i` of band `i` (0-based).
+    pub fn cc(&self, band: usize) -> f64 {
+        self.ladder.cc(band)
     }
 
     /// The band a cell belongs to.
@@ -287,16 +346,19 @@ mod tests {
     fn exact_power_of_ratio_costs_land_on_their_own_band() {
         // Every cost sits exactly on a band edge cmin·r^k. The naive
         // floor(ln/ln) assignment drifts below the edge for some k (e.g.
-        // ln(1.1^3)/ln(1.1) = 2.9999…); the epsilon-robust version must put
-        // edge costs in the band they open, for any ratio.
+        // ln(1.1^3)/ln(1.1) = 2.9999…); the ladder must put edge costs in
+        // the band they open, for any ratio.
         for ratio in [2.0f64, 1.1, 1.8, 3.0] {
             let cmin = 7.5;
             let costs: Vec<f64> = (0..8).map(|k| cmin * ratio.powi(k)).collect();
-            let posp = synthetic(costs.clone());
-            let contours = ContourSet::build(&posp, ratio).unwrap();
-            assert_eq!(contours.num_bands(), costs.len(), "ratio {ratio}");
-            for (k, _) in costs.iter().enumerate() {
-                assert_eq!(contours.band_of(k), k, "ratio {ratio}, edge {k}");
+            let ladder = Ladder::new(cmin, costs[7], ratio).unwrap();
+            assert_eq!(ladder.num_bands(), costs.len(), "ratio {ratio}");
+            for (k, &c) in costs.iter().enumerate() {
+                assert_eq!(ladder.cc(k).to_bits(), c.to_bits(), "ratio {ratio}, edge {k}");
+                assert_eq!(ladder.band(c).unwrap(), k, "ratio {ratio}, edge {k}");
+            }
+            let contours = ContourSet::build(&synthetic(costs.clone()), ratio).unwrap();
+            for k in 0..costs.len() {
                 assert_eq!(contours.cells(k), &[k]);
             }
         }
@@ -309,8 +371,10 @@ mod tests {
         let cmin = 10.0;
         let ratio = 2.0;
         let edge = cmin * ratio * ratio; // opens band 2
-        let posp = synthetic(vec![cmin, edge * (1.0 - 1e-13)]);
-        let contours = ContourSet::build(&posp, ratio).unwrap();
+        let hair = edge * (1.0 - 1e-13);
+        let ladder = Ladder::new(cmin, hair, ratio).unwrap();
+        assert_eq!(ladder.band(hair).unwrap(), 2);
+        let contours = ContourSet::build(&synthetic(vec![cmin, hair]), ratio).unwrap();
         assert_eq!(contours.band_of(1), 2);
     }
 
@@ -323,19 +387,21 @@ mod tests {
 
     #[test]
     fn non_finite_costs_error_instead_of_spinning() {
-        // Regression: band_index used to loop forever on +inf (powi
-        // saturates at +inf, cost_cmp(inf, inf) is Equal via total_cmp but
-        // never Less) and on NaN (total_cmp orders NaN above everything).
+        // Regression: the ln-seeded banding this ladder replaced looped
+        // forever on +inf (powi saturates at +inf, cost_cmp(inf, inf) is
+        // Equal via total_cmp but never Less) and on NaN (total_cmp orders
+        // NaN above everything).
+        let ladder = Ladder::new(1.0, 1024.0, 2.0).unwrap();
         for c in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0, -3.0] {
-            let err = band_index(c, 1.0, 2.0).unwrap_err();
+            let err = ladder.band(c).unwrap_err();
             assert!(err.to_string().contains("contour ladder"), "{c}: {err}");
         }
-        assert_eq!(band_index(8.0, 1.0, 2.0).unwrap(), 3);
+        assert_eq!(ladder.band(8.0).unwrap(), 3);
     }
 
     #[test]
     fn nan_cell_cost_is_a_build_error_not_a_hang() {
-        // A NaN cell sneaks past the extrema check (f64::max ignores NaN);
+        // A NaN cell sneaks past any extrema check (f64::max ignores NaN);
         // the per-cell banding pass must surface it as a structured error.
         let posp = synthetic(vec![1.0, 2.0, f64::NAN, 8.0]);
         let err = ContourSet::build(&posp, 2.0).unwrap_err();
@@ -344,10 +410,30 @@ mod tests {
 
     #[test]
     fn clamped_band_index_is_total() {
-        assert_eq!(band_index_clamped(8.0, 1.0, 2.0, 10), 3);
-        assert_eq!(band_index_clamped(1e9, 1.0, 2.0, 4), 3, "overshoot clamps to m-1");
-        assert_eq!(band_index_clamped(f64::NAN, 1.0, 2.0, 4), 3);
-        assert_eq!(band_index_clamped(f64::INFINITY, 1.0, 2.0, 4), 3);
+        // the flood's banding: a cost with no band is charged the top band
+        let clamped = |ladder: &Ladder, c: f64| ladder.band(c).unwrap_or(ladder.num_bands() - 1);
+        let ten = Ladder::new(1.0, 512.0, 2.0).unwrap();
+        assert_eq!(ten.num_bands(), 10);
+        assert_eq!(clamped(&ten, 8.0), 3);
+        let four = Ladder::new(1.0, 8.0, 2.0).unwrap();
+        assert_eq!(four.num_bands(), 4);
+        assert_eq!(clamped(&four, 1e9), 3, "overshoot clamps to m-1");
+        assert_eq!(clamped(&four, f64::NAN), 3);
+        assert_eq!(clamped(&four, f64::INFINITY), 3);
+        assert_eq!(four.band(0.25).unwrap(), 0, "undershoot clamps to band 0");
+    }
+
+    #[test]
+    fn cells_outside_the_anchors_are_refused() {
+        // PCM puts the extrema at the origin and terminus; a surface that
+        // breaks it is refused instead of clamped into the end bands.
+        for costs in [vec![2.0, 1.0, 8.0], vec![1.0, 64.0, 8.0]] {
+            let err = ContourSet::build(&synthetic(costs.clone()), 2.0).unwrap_err();
+            assert!(err.to_string().contains("plan-cost monotonicity"), "{costs:?}: {err}");
+        }
+        // within the cost tolerance of an anchor is still on the ladder
+        let c = ContourSet::build(&synthetic(vec![2.0, 2.0 * (1.0 - 1e-13), 8.0]), 2.0).unwrap();
+        assert_eq!(c.band_of(1), 0);
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //!   the cell's seed box (`posp::seed_marks` / `posp::seed_box`) on
 //!   demand, memoizes them, and recosts the agreed plan when all corners
 //!   agree, DP'ing the cell otherwise.
-//! - The band ladder is anchored at the origin and terminus cells — under
-//!   plan-cost monotonicity (PCM, §2.5) the surface's `cmin`/`cmax` — and
-//!   band membership uses the epsilon-settled `contours::band_index`
-//!   arithmetic.
+//! - The band ladder ([`Ladder`]) is anchored at the origin and terminus
+//!   cells — under plan-cost monotonicity (PCM, §2.5) the surface's
+//!   `cmin`/`cmax` — and every cell is banded by [`Ladder::band`] as the
+//!   flood reaches it. The flood's bands *are* the finished surface's
+//!   [`ContourSet`]; nothing bands the cells a second time.
 //! - Finishing feeds the completed surface through `Posp::assemble` in
 //!   cell-index order, so plan ids are assigned first-seen by cell index
 //!   whatever order the flood discovered the plans in.
@@ -32,7 +33,7 @@
 //! own `par_iter`, so holding the frontier lock across it cannot deadlock
 //! the pool.
 
-use crate::contours::{band_index, band_index_clamped};
+use crate::contours::Ladder;
 use crate::grid::{Cell, Grid};
 use crate::posp::{is_seed_cell, seed_box, seed_marks, CompileMode, Posp};
 use crate::registry::{PlanId, PlanRegistry};
@@ -45,9 +46,6 @@ use rqp_optimizer::{Optimizer, OptimizerConfig};
 use rqp_qplan::{cost_eq, CostModel, Fingerprint, PlanNode};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// Sentinel for "not yet banded" in the frontier's `band_of` table.
-const UNBANDED: u32 = u32::MAX;
 
 /// Accumulates one compile phase's total work across parallel workers:
 /// per-cell [`Stopwatch`] readings land in an atomic nanosecond counter,
@@ -128,37 +126,33 @@ struct Frontier {
     /// Per-cell `(fingerprint, cost)` memo; `Some` once the cell has been
     /// costed (possibly only as a seed corner, without being banded).
     slot: Vec<Option<(Fingerprint, f64)>>,
-    /// Whether the cell has entered the band machinery (frozen band,
-    /// current wave, or parked). Distinct from "costed": recost seed
-    /// corners and oracle peeks cost cells without visiting them, and the
-    /// flood must still expand such cells when it reaches them.
-    visited: Vec<bool>,
-    /// Band assignment, valid only for visited cells.
-    band_of: Vec<u32>,
-    /// Frozen cell lists for bands `0..=compiled_through`, each ascending
-    /// by cell index (matching [`ContourSet::cells`] order).
-    bands: Vec<Arc<Vec<Cell>>>,
-    /// Visited cells whose band lies above `compiled_through`, waiting for
-    /// the cursor to reach them.
+    /// The contour set under construction. A cell is banded once it has
+    /// entered the band machinery (frozen band, current wave, or parked);
+    /// that is distinct from "costed": recost seed corners and oracle
+    /// peeks cost cells without banding them, and the flood must still
+    /// expand such cells when it reaches them. `bands` holds the frozen
+    /// cell lists of the bands materialized so far.
+    contours: ContourSet,
+    /// Banded cells whose band lies above the materialized ones, waiting
+    /// for the cursor to reach them.
     parked: Vec<Cell>,
     /// Plans discovered so far, ids in discovery order (canonicalized to
     /// first-seen-by-cell order only when the surface is finished).
     registry: PlanRegistry,
-    /// Highest fully materialized band; `-1` before the first.
-    compiled_through: isize,
 }
 
 impl Frontier {
-    fn new(num_cells: usize) -> Frontier {
+    fn new(ladder: Ladder, num_cells: usize) -> Frontier {
         Frontier {
             slot: vec![None; num_cells],
-            visited: vec![false; num_cells],
-            band_of: vec![UNBANDED; num_cells],
-            bands: Vec::new(),
+            contours: ContourSet::unbanded(ladder, num_cells),
             parked: Vec::new(),
             registry: PlanRegistry::new(),
-            compiled_through: -1,
         }
+    }
+
+    fn is_banded(&self, cell: Cell) -> bool {
+        self.contours.band_of[cell] != ContourSet::UNBANDED
     }
 }
 
@@ -171,11 +165,8 @@ pub struct LazyEss {
     /// is costed under it.
     tuning: OptimizerConfig,
     grid: Grid,
-    /// Geometric contour ratio.
-    ratio: f64,
-    cmin: f64,
-    /// Lower band edges `cc[i] = cmin · ratio^i`; `cc.len()` is `m`.
-    cc: Vec<f64>,
+    /// The contour ladder, anchored at the origin and terminus costs.
+    ladder: Ladder,
     /// `Some(stride)` iff the effective mode is recost: the corner test
     /// enumerates `2^dims` seed-box corners, so past 8 dims (or for a
     /// stride ≤ 1) the compile degrades to exact.
@@ -208,7 +199,7 @@ impl LazyEss {
         compile_span.attr("lazy", "anchors");
         let lazy = LazyEss::start(optimizer, config)?;
         compile_span.attr("grid_cells", lazy.grid.num_cells() as u64);
-        compile_span.attr("contour_bands", lazy.num_bands() as u64);
+        compile_span.attr("contour_bands", lazy.ladder.num_bands() as u64);
         Ok(Arc::new(lazy))
     }
 
@@ -218,9 +209,9 @@ impl LazyEss {
         let dims = optimizer.query().dims().max(1);
         let grid = Grid::uniform(dims, config.resolution, config.min_sel)?;
         let ratio = config.contour_ratio;
-        if !(ratio.is_finite() && ratio > 1.0) {
-            return Err(RqpError::Config(format!("contour ratio must exceed 1, got {ratio}")));
-        }
+        // A one-band ladder stands in until the anchors are costed; building
+        // it rejects a bad ratio before any optimizer call.
+        let ladder = Ladder::new(1.0, 1.0, ratio)?;
         let stride = match config.mode {
             CompileMode::Recost { seed_stride } if seed_stride > 1 && dims <= 8 => {
                 Some(seed_stride)
@@ -234,38 +225,32 @@ impl LazyEss {
             model: optimizer.model(),
             tuning: optimizer.config(),
             grid,
-            ratio,
-            cmin: f64::NAN,
-            cc: Vec::new(),
+            ladder: ladder.clone(),
             stride,
             is_seed,
-            state: Mutex::new(Frontier::new(0)),
+            state: Mutex::new(Frontier::new(ladder.clone(), 0)),
             finished: OnceLock::new(),
         };
 
-        let mut st = Frontier::new(this.grid.num_cells());
+        let num_cells = this.grid.num_cells();
+        let mut st = Frontier::new(ladder, num_cells);
         let mut anchors = vec![this.grid.origin(), this.grid.terminus()];
         anchors.dedup();
         let tracer = rqp_obs::current();
         let phases = Phases::new(tracer.is_enabled());
         this.cost_cells(&mut st, optimizer, &anchors, &phases);
         phases.report(&tracer);
-        let cmin = st.slot[this.grid.origin()].map_or(f64::NAN, |(_, c)| c);
-        let cmax = st.slot[this.grid.terminus()].map_or(f64::NAN, |(_, c)| c);
-        if !(cmin > 0.0 && cmin.is_finite() && cmax.is_finite()) {
-            return Err(RqpError::Config(format!(
-                "degenerate optimal cost surface: cmin {cmin}, cmax {cmax}"
-            )));
-        }
-        let m = band_index(cmax, cmin, ratio)? + 1;
-        for &cell in &anchors {
-            let cost = st.slot[cell].map_or(f64::NAN, |(_, c)| c);
-            st.visited[cell] = true;
-            st.band_of[cell] = band_index_clamped(cost, cmin, ratio, m) as u32;
+        // `anchors` is `[origin, terminus]`, one cell on a one-cell grid
+        let costs: Vec<f64> =
+            anchors.iter().map(|&cell| st.slot[cell].map_or(f64::NAN, |(_, c)| c)).collect();
+        this.ladder = Ladder::new(costs[0], costs[costs.len() - 1], ratio)?;
+        st.contours = ContourSet::unbanded(this.ladder.clone(), num_cells);
+        let top = this.ladder.num_bands() - 1;
+        for (&cell, &cost) in anchors.iter().zip(&costs) {
+            let band = this.ladder.band(cost).unwrap_or(top);
+            st.contours.band_of[cell] = band as u32;
             st.parked.push(cell);
         }
-        this.cmin = cmin;
-        this.cc = (0..m).map(|i| cmin * ratio.powi(i as i32)).collect();
         this.state = Mutex::new(st);
         Ok(this)
     }
@@ -281,24 +266,14 @@ impl LazyEss {
         &self.grid
     }
 
-    /// Number of contour bands `m` (known up front from the anchors).
-    pub fn num_bands(&self) -> usize {
-        self.cc.len()
-    }
-
-    /// Lower-edge cost `CC_i` of band `i`.
-    pub fn cc(&self, band: usize) -> f64 {
-        self.cc[band]
-    }
-
-    /// The contour ratio.
-    pub fn ratio(&self) -> f64 {
-        self.ratio
+    /// The contour ladder (known up front from the anchors).
+    pub fn ladder(&self) -> &Ladder {
+        &self.ladder
     }
 
     /// Number of bands materialized so far.
     pub fn bands_compiled(&self) -> usize {
-        (self.state.lock().compiled_through + 1) as usize
+        self.state.lock().contours.bands.len()
     }
 
     /// Number of cells costed so far (bands, boundary layer, seed corners
@@ -322,14 +297,14 @@ impl LazyEss {
     /// [`LazyEss::compile_through`], costing cells with `opt` (which must
     /// plan this surface's query under its cost model and tuning).
     fn compile_through_with(&self, band: usize, opt: &Optimizer<'_>) {
-        let target = band.min(self.num_bands() - 1) as isize;
+        let target = band.min(self.ladder.num_bands() - 1);
         let mut st = self.state.lock();
-        if st.compiled_through >= target {
+        if st.contours.bands.len() > target {
             return;
         }
         let tracer = rqp_obs::current();
-        while st.compiled_through < target {
-            let k = (st.compiled_through + 1) as usize;
+        while st.contours.bands.len() <= target {
+            let k = st.contours.bands.len();
             let mut span =
                 tracer.span(rqp_obs::names::SPAN_ESS_BAND_COMPILE, rqp_obs::SpanKind::CompilePhase);
             span.attr("band", k as u64);
@@ -338,8 +313,7 @@ impl LazyEss {
             phases.report(&tracer);
             span.attr("cells", members.len() as u64);
             drop(span);
-            st.bands.push(Arc::new(members));
-            st.compiled_through = k as isize;
+            st.contours.bands.push(Arc::new(members));
             crate::obs::metrics().bands_compiled.inc();
         }
     }
@@ -356,12 +330,12 @@ impl LazyEss {
     ) -> Vec<Cell> {
         let grid = &self.grid;
         let dims = grid.dims();
-        let m = self.num_bands();
+        let top = self.ladder.num_bands() - 1;
         let mut members: Vec<Cell> = Vec::new();
         let mut wave: Vec<Cell> = Vec::new();
         let mut still_parked = Vec::with_capacity(st.parked.len());
         for &c in &st.parked {
-            if st.band_of[c] as usize == k {
+            if st.contours.band_of[c] as usize == k {
                 wave.push(c);
             } else {
                 still_parked.push(c);
@@ -381,7 +355,7 @@ impl LazyEss {
                         coords[d] += 1;
                         let n = grid.index(&coords);
                         coords[d] -= 1;
-                        if !st.visited[n] {
+                        if !st.is_banded(n) {
                             fresh.push(n);
                         }
                     }
@@ -393,19 +367,19 @@ impl LazyEss {
             wave.clear();
             for &n in &fresh {
                 let cost = st.slot[n].map_or(f64::NAN, |(_, c)| c);
-                let mut b = band_index_clamped(cost, self.cmin, self.ratio, m);
+                // a cost with no band is charged the worst case
+                let mut b = self.ladder.band(cost).unwrap_or(top);
                 if b < k {
                     // only reachable when PCM is violated at a band edge by
                     // more than the cost_eq tolerance; fold the cell into
                     // the current band so the flood stays a down-set
                     debug_assert!(
-                        cost_eq(cost, self.cc[k]),
+                        cost_eq(cost, self.ladder.cc(k)),
                         "cell {n} banded below the flood cursor (cost {cost}, band {b} < {k})"
                     );
                     b = k;
                 }
-                st.visited[n] = true;
-                st.band_of[n] = b as u32;
+                st.contours.band_of[n] = b as u32;
                 if b == k {
                     wave.push(n);
                 } else {
@@ -534,7 +508,7 @@ impl LazyEss {
     }
 
     /// Cost one cell outside the flood (an oracle peek): memoized, does
-    /// not visit the cell, and never compiles a band.
+    /// not band the cell, and never compiles a band.
     fn peek(&self, cell: Cell) -> (Fingerprint, f64) {
         let mut st = self.state.lock();
         if st.slot[cell].is_none() {
@@ -552,15 +526,15 @@ impl LazyEss {
     /// The band a cell belongs to (costing it on demand if necessary).
     pub fn band_of(&self, cell: Cell) -> usize {
         let (_, cost) = self.peek(cell);
-        band_index_clamped(cost, self.cmin, self.ratio, self.num_bands())
+        self.ladder.band(cost).unwrap_or(self.ladder.num_bands() - 1)
     }
 
     /// The cells of `band`, compiling through it first if needed.
     /// Ascending by cell index, like [`ContourSet::cells`].
     pub fn band_cells(&self, band: usize) -> Arc<Vec<Cell>> {
-        let band = band.min(self.num_bands() - 1);
+        let band = band.min(self.ladder.num_bands() - 1);
         self.compile_through(band);
-        Arc::clone(&self.state.lock().bands[band])
+        self.state.lock().contours.cells_arc(band)
     }
 
     /// The optimal plan id at a cell, in the *lazy* registry's id space
@@ -590,34 +564,40 @@ impl LazyEss {
 
     /// Flood the remaining bands with `opt` (the optimizer the compile
     /// started with) and assemble the complete POSP, plan ids assigned
-    /// first-seen by cell index.
+    /// first-seen by cell index, together with the flood's contour set.
     ///
     /// # Errors
-    /// Returns [`RqpError::Config`] if some cell was left uncosted (a flood
-    /// that cannot reach every cell from the origin).
-    pub(crate) fn flood_all(&self, opt: &Optimizer<'_>) -> RqpResult<Posp> {
-        self.compile_through_with(self.num_bands() - 1, opt);
+    /// Returns [`RqpError::Config`] if some cell was left unbanded (a flood
+    /// that cannot reach every cell from the origin) or has a cost with no
+    /// band on the ladder (a degenerate cost the flood clamped).
+    pub(crate) fn flood_all(&self, opt: &Optimizer<'_>) -> RqpResult<(Posp, ContourSet)> {
+        self.compile_through_with(self.ladder.num_bands() - 1, opt);
         let st = self.state.lock();
-        if let Some(cell) = st.slot.iter().position(Option::is_none) {
-            return Err(RqpError::Config(format!(
-                "cell {cell} left uncosted by a completed flood"
-            )));
+        for (cell, slot) in st.slot.iter().enumerate() {
+            let cost = slot.map_or(f64::NAN, |(_, c)| c);
+            if !(st.is_banded(cell) && cost.is_finite() && cost > 0.0) {
+                return Err(RqpError::Config(format!(
+                    "cell {cell} (cost {cost}) has no place on the contour ladder \
+                     after a completed flood"
+                )));
+            }
         }
-        Ok(Posp::assemble(self.grid.clone(), st.slot.iter().flatten().copied(), &st.registry))
+        let posp =
+            Posp::assemble(self.grid.clone(), st.slot.iter().flatten().copied(), &st.registry);
+        Ok((posp, st.contours.clone()))
     }
 
     /// Complete the surface and canonicalize it into an [`Ess`]: flood the
-    /// remaining bands, assemble the POSP and build the contours from the
-    /// full surface. The result is byte-identical to
-    /// [`crate::Ess::compile`] under the same configuration.
+    /// remaining bands and assemble the POSP; the flood's bands are its
+    /// contours. The result is byte-identical to [`crate::Ess::compile`]
+    /// under the same configuration.
     ///
     /// # Errors
     /// Returns [`RqpError::Config`] if the completed surface cannot be
     /// banded (degenerate costs that the lazy clamp tolerated).
     pub fn finish(&self) -> RqpResult<Arc<Ess>> {
         let out = self.finished.get_or_init(|| {
-            let posp = self.flood_all(&self.optimizer()).map_err(|e| e.to_string())?;
-            let contours = ContourSet::build(&posp, self.ratio).map_err(|e| e.to_string())?;
+            let (posp, contours) = self.flood_all(&self.optimizer()).map_err(|e| e.to_string())?;
             Ok(Arc::new(Ess { posp, contours }))
         });
         match out {
@@ -668,10 +648,13 @@ fn record(st: &mut Frontier, (cell, fp, plan, cost): Costed) {
 
 impl Drop for LazyEss {
     fn drop(&mut self) {
-        // bands the surface never had to pay for — the whole point
-        let compiled = self.state.get_mut().compiled_through;
-        let skipped = (self.cc.len() as isize - 1 - compiled).max(0);
-        crate::obs::metrics().bands_skipped.add(skipped as u64);
+        // bands the surface never had to pay for — the whole point (none
+        // when `start` failed before the frontier, and the ladder, existed)
+        let st = self.state.get_mut();
+        if !st.slot.is_empty() {
+            let skipped = self.ladder.num_bands() - st.contours.bands.len();
+            crate::obs::metrics().bands_skipped.add(skipped as u64);
+        }
     }
 }
 
@@ -680,8 +663,8 @@ impl std::fmt::Debug for LazyEss {
         let st = self.state.lock();
         f.debug_struct("LazyEss")
             .field("query", &self.query.name)
-            .field("num_bands", &self.cc.len())
-            .field("compiled_through", &st.compiled_through)
+            .field("num_bands", &self.ladder.num_bands())
+            .field("bands_compiled", &st.contours.bands.len())
             .field("plans_discovered", &st.registry.len())
             .finish()
     }

@@ -7,10 +7,11 @@
 //! [`Ess::compile`] bundles the full pipeline: discretize the selectivity
 //! space ([`grid::Grid`]), cost every location by flooding the grid band
 //! by band from the origin ([`lazy::LazyEss`], run to the last band) into
-//! the optimal-plan surface ([`posp::Posp`]), and slice that surface into
-//! geometric cost bands ([`contours::ContourSet`]). [`LazyEss`] also serves
-//! the same flood anytime, one band at a time. The robust processing
-//! algorithms in `rqp-core` run entirely against these structures.
+//! the optimal-plan surface ([`posp::Posp`]), whose geometric cost bands
+//! ([`contours::ContourSet`]) the flood builds as it goes. [`LazyEss`]
+//! also serves the same flood anytime, one band at a time. The robust
+//! processing algorithms in `rqp-core` run entirely against these
+//! structures.
 
 pub mod anorexic;
 pub mod cache;
@@ -24,7 +25,7 @@ pub mod snapshot;
 
 pub use anorexic::{anorexic_reduce, Reduced};
 pub use cache::{compile_fingerprint, CompileCache};
-pub use contours::ContourSet;
+pub use contours::{ContourSet, Ladder};
 pub use grid::{Cell, Grid};
 pub use lazy::LazyEss;
 pub use obs::register_metrics;
@@ -121,9 +122,8 @@ impl Ess {
         let m = obs::metrics();
         m.compiles.inc();
         let span = rqp_obs::time_histogram(&m.compile_seconds);
-        let tracer = rqp_obs::current();
         let mut compile_span =
-            tracer.span(rqp_obs::names::SPAN_ESS_COMPILE, rqp_obs::SpanKind::Compile);
+            rqp_obs::current().span(rqp_obs::names::SPAN_ESS_COMPILE, rqp_obs::SpanKind::Compile);
         compile_span.attr("query", optimizer.query().name.as_str());
         let opt_calls = rqp_obs::global().counter(rqp_obs::names::OPTIMIZER_CALLS);
         let calls_before = opt_calls.get();
@@ -158,21 +158,11 @@ impl Ess {
             }
         }
 
-        let posp = {
+        let (posp, contours) = {
             let _posp_timer = rqp_obs::time_histogram(&m.posp_compile_seconds);
-            let posp = LazyEss::start(optimizer, config)?.flood_all(optimizer)?;
-            m.posp_cells.add(posp.grid().num_cells() as u64);
-            posp
+            LazyEss::start(optimizer, config)?.flood_all(optimizer)?
         };
-
-        let sw = rqp_obs::Stopwatch::start();
-        let contours = {
-            let _cb = tracer
-                .span(rqp_obs::names::SPAN_CONTOUR_BUILD, rqp_obs::SpanKind::CompilePhase)
-                .with_histogram(&m.contour_build_seconds);
-            ContourSet::build(&posp, config.contour_ratio)?
-        };
-        let contour_secs = sw.elapsed_secs();
+        m.posp_cells.add(posp.grid().num_cells() as u64);
 
         compile_span.attr("grid_cells", posp.grid().num_cells() as u64);
         compile_span.attr("posp_plans", posp.num_plans() as u64);
@@ -202,7 +192,6 @@ impl Ess {
                     .with("posp_plans", posp.num_plans() as u64)
                     .with("contour_bands", contours.num_bands() as u64)
                     .with("optimizer_calls", opt_calls.get() - calls_before)
-                    .with("contour_build_seconds", contour_secs)
                     .with("compile_seconds", span.stop()),
             );
         }

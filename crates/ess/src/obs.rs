@@ -15,8 +15,6 @@ pub(crate) struct EssMetrics {
     pub posp_plans: Arc<Gauge>,
     /// `rqp_ess_compile_seconds`
     pub compile_seconds: Arc<Histogram>,
-    /// `rqp_ess_contour_build_seconds`
-    pub contour_build_seconds: Arc<Histogram>,
     /// `rqp_ess_contour_bands`
     pub contour_bands: Arc<Gauge>,
     /// `rqp_ess_grid_cells`
@@ -56,7 +54,6 @@ pub(crate) fn metrics() -> &'static EssMetrics {
             posp_compile_seconds: g.histogram(names::ESS_POSP_COMPILE_SECONDS, &buckets),
             posp_plans: g.gauge(names::ESS_POSP_PLANS),
             compile_seconds: g.histogram(names::ESS_COMPILE_SECONDS, &buckets),
-            contour_build_seconds: g.histogram(names::ESS_CONTOUR_BUILD_SECONDS, &buckets),
             contour_bands: g.gauge(names::ESS_CONTOUR_BANDS),
             grid_cells: g.gauge(names::ESS_GRID_CELLS),
             compiles: g.counter(names::ESS_COMPILES),

@@ -76,11 +76,15 @@ impl PospSnapshot {
         }
     }
 
-    /// Restore the ESS (POSP + contours) from the snapshot.
+    /// Restore the ESS (POSP + contours) from the snapshot, banding its
+    /// cells with [`ContourSet::build`] on the ladder anchored at the
+    /// origin and terminus costs.
     ///
     /// # Errors
     /// Returns [`RqpError::Snapshot`] if the snapshot is internally
-    /// inconsistent.
+    /// inconsistent, and [`RqpError::Config`] if its costs do not fit the
+    /// anchored ladder (a cell cheaper than the origin or dearer than the
+    /// terminus, which no compile writes).
     pub fn restore(self) -> RqpResult<Ess> {
         let bad = |msg: String| Err(RqpError::Snapshot(msg));
         // a `Grid` is valid by construction (`Grid::from_axes`)
@@ -460,6 +464,33 @@ mod tests {
         assert!(snap.restore().unwrap_err().to_string().contains("do not match grid"));
         let err = PospSnapshot::decode(b"{oops\nchecksum 0000000000000000\n").unwrap_err();
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
+    }
+
+    #[test]
+    fn resealed_surface_cheaper_than_its_origin_is_quarantined() {
+        // No compile writes a cell cheaper than the origin (PCM puts the
+        // minimum there), so such a surface is refused, not clamped.
+        let mut snap = PospSnapshot::capture(&compiled());
+        let origin = snap.grid.origin();
+        let interior = snap.grid.index(&[snap.grid.res(0) / 2]);
+        snap.cell_cost[interior] = snap.cell_cost[origin] / 4.0;
+        let entry = snap.encode(0xbad);
+        let (fp, decoded) = PospSnapshot::decode(entry.as_bytes()).unwrap();
+        let err = decoded.restore().unwrap_err();
+        assert!(matches!(err, RqpError::Config(_)), "{err:?}");
+        assert!(err.to_string().contains("plan-cost monotonicity"), "{err}");
+
+        let dir = std::env::temp_dir().join(format!("rqp-snapshot-pcm-{}", std::process::id()));
+        let cache = crate::CompileCache::new(&dir).unwrap();
+        let path = cache.entry_path(fp);
+        std::fs::write(&path, &entry).unwrap();
+        let corrupt = &crate::obs::metrics().cache_corrupt;
+        let before = corrupt.get();
+        assert!(cache.restore(fp).is_none(), "a refused surface must not restore");
+        assert!(corrupt.get() > before, "quarantine not counted");
+        assert!(!path.exists());
+        assert!(path.with_extension("rqpc.corrupt").exists(), "entry not quarantined");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -30,8 +30,6 @@ pub const ESS_POSP_COMPILE_SECONDS: &str = "rqp_ess_posp_compile_seconds";
 pub const ESS_POSP_PLANS: &str = "rqp_ess_posp_plans";
 /// Histogram: seconds per full `Ess::compile`.
 pub const ESS_COMPILE_SECONDS: &str = "rqp_ess_compile_seconds";
-/// Histogram: seconds to build the iso-cost contour set.
-pub const ESS_CONTOUR_BUILD_SECONDS: &str = "rqp_ess_contour_build_seconds";
 /// Gauge: contour bands in the most recent compile.
 pub const ESS_CONTOUR_BANDS: &str = "rqp_ess_contour_bands";
 /// Gauge: grid cells in the most recent compile.
@@ -196,8 +194,6 @@ pub const SPAN_SESSION: &str = "session";
 pub const SPAN_ESS_COMPILE: &str = "ess_compile";
 /// Span: blocked on a peer session's in-flight compile (single-flight).
 pub const SPAN_REGISTRY_WAIT: &str = "registry_wait";
-/// Span: building the iso-cost contour set inside a compile.
-pub const SPAN_CONTOUR_BUILD: &str = "contour_build";
 /// Span: aggregate seed-sublattice full-DP phase of a recost compile.
 pub const SPAN_POSP_SEED_DP: &str = "posp_seed_dp";
 /// Span: aggregate corner-agreement recosting phase of a recost compile.

@@ -909,7 +909,7 @@ mod tests {
         // a peer pulling band 1 materializes bands 0..=1 for everyone
         b.compile_through(1);
         assert!(a.bands_compiled() >= 2);
-        assert!(a.bands_compiled() < a.num_bands(), "upper bands stay unmaterialized");
+        assert!(a.bands_compiled() < a.ladder().num_bands(), "upper bands stay unmaterialized");
     }
 
     #[test]

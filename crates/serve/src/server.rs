@@ -29,6 +29,9 @@ use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+/// Lock shards in the shared ESS registry.
+const REGISTRY_SHARDS: usize = 8;
+
 /// Tuning for a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -54,8 +57,6 @@ pub struct ServeConfig {
     /// Directory for the persistent compile cache shared by the registry
     /// (`None` = in-memory registry only).
     pub cache_dir: Option<PathBuf>,
-    /// Lock shards in the registry.
-    pub registry_shards: usize,
     /// Record a causal trace per session (admission → compile/wait →
     /// contour → execution spans); results carry their spans and finished
     /// traces are published to the trace store.
@@ -63,9 +64,6 @@ pub struct ServeConfig {
     /// Bind address for the live telemetry endpoint (`/metrics`,
     /// `/healthz`, `/trace/<session>`); `None` disables it.
     pub telemetry_addr: Option<String>,
-    /// How long one telemetry connection may take to deliver its request
-    /// head before being cut off (slow-loris guard; was hardcoded 500 ms).
-    pub telemetry_read_timeout: Duration,
     /// Circuit-breaker tuning for the shared registry (backoff window per
     /// consecutive compile failure).
     pub breaker: BreakerConfig,
@@ -95,10 +93,8 @@ impl Default for ServeConfig {
             chaos: None,
             keep_traces: false,
             cache_dir: None,
-            registry_shards: 8,
             tracing: false,
             telemetry_addr: None,
-            telemetry_read_timeout: Duration::from_millis(500),
             breaker: BreakerConfig::default(),
             compile_chaos: None,
             degrade: false,
@@ -207,7 +203,7 @@ impl Server {
             return Err(RqpError::Config("serve queue capacity must be at least 1".to_string()));
         }
         crate::obs::register_metrics();
-        let mut registry = EssRegistry::new(config.registry_shards).with_breaker(config.breaker);
+        let mut registry = EssRegistry::new(REGISTRY_SHARDS).with_breaker(config.breaker);
         if let Some(dir) = &config.cache_dir {
             registry = registry.with_cache(CompileCache::new(dir.clone())?);
         }
@@ -235,7 +231,6 @@ impl Server {
                     addr,
                     Arc::clone(&inner.traces),
                     Some(health),
-                    inner.config.telemetry_read_timeout,
                 )?)
             }
             None => None,

@@ -58,6 +58,10 @@ impl TraceStore {
     }
 }
 
+/// How long one connection may take to deliver its request head before
+/// being cut off (slow-loris guard).
+const READ_TIMEOUT: Duration = Duration::from_millis(500);
+
 /// Extra `/healthz` detail rendered per request (the serving layer
 /// attaches the registry's circuit-breaker summary). The returned text is
 /// appended after the `ok` liveness line.
@@ -75,9 +79,8 @@ impl TelemetryServer {
     /// Bind `addr` (e.g. `127.0.0.1:9921`; port 0 picks a free port) and
     /// start answering telemetry requests against `traces`.
     ///
-    /// `read_timeout` bounds how long one connection may dribble its
-    /// request head before being cut off (a slow-loris guard; the old
-    /// hardcoded 500 ms is now [`crate::ServeConfig::telemetry_read_timeout`]).
+    /// One connection may dribble its request head for at most
+    /// [`READ_TIMEOUT`] before being cut off (a slow-loris guard).
     ///
     /// # Errors
     /// [`RqpError::Config`] when the address cannot be bound or the spawn
@@ -86,7 +89,6 @@ impl TelemetryServer {
         addr: &str,
         traces: Arc<TraceStore>,
         health: Option<HealthSource>,
-        read_timeout: Duration,
     ) -> RqpResult<TelemetryServer> {
         let listener = TcpListener::bind(addr)
             .map_err(|e| RqpError::Config(format!("telemetry cannot bind {addr}: {e}")))?;
@@ -100,9 +102,7 @@ impl TelemetryServer {
         let stop_flag = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name("rqp-telemetry".to_string())
-            .spawn(move || {
-                accept_loop(&listener, &stop_flag, &traces, health.as_ref(), read_timeout)
-            })
+            .spawn(move || accept_loop(&listener, &stop_flag, &traces, health.as_ref()))
             .map_err(|e| RqpError::Config(format!("cannot spawn telemetry thread: {e}")))?;
         Ok(TelemetryServer { addr: local, stop, handle: Some(handle) })
     }
@@ -136,11 +136,10 @@ fn accept_loop(
     stop: &AtomicBool,
     traces: &Arc<TraceStore>,
     health: Option<&HealthSource>,
-    read_timeout: Duration,
 ) {
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
-            Ok((stream, _)) => handle_connection(stream, traces, health, read_timeout),
+            Ok((stream, _)) => handle_connection(stream, traces, health),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
             }
@@ -154,13 +153,8 @@ fn accept_loop(
 /// `rqp_serve_telemetry_errors_total` instead of dropping it on the floor:
 /// a scrape endpoint silently failing to answer looks exactly like a
 /// wedged server, so the failure itself must be observable.
-fn handle_connection(
-    stream: TcpStream,
-    traces: &Arc<TraceStore>,
-    health: Option<&HealthSource>,
-    read_timeout: Duration,
-) {
-    if try_handle(stream, traces, health, read_timeout).is_err() {
+fn handle_connection(stream: TcpStream, traces: &Arc<TraceStore>, health: Option<&HealthSource>) {
+    if try_handle(stream, traces, health).is_err() {
         crate::obs::metrics().telemetry_errors.inc();
     }
 }
@@ -170,9 +164,8 @@ fn try_handle(
     mut stream: TcpStream,
     traces: &Arc<TraceStore>,
     health: Option<&HealthSource>,
-    read_timeout: Duration,
 ) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(read_timeout))?;
+    stream.set_read_timeout(Some(READ_TIMEOUT))?;
     stream.set_nodelay(true)?;
     let mut buf = [0u8; 4096];
     let mut head = Vec::new();
@@ -268,13 +261,8 @@ mod tests {
         traces.insert(3, "{\"traceEvents\": []}".to_string());
         let health_source: HealthSource =
             Arc::new(|| "breakers: 1 fingerprint(s), 1 open, 0 half_open\n".to_string());
-        let srv = TelemetryServer::start(
-            "127.0.0.1:0",
-            Arc::clone(&traces),
-            Some(health_source),
-            Duration::from_millis(500),
-        )
-        .unwrap();
+        let srv = TelemetryServer::start("127.0.0.1:0", Arc::clone(&traces), Some(health_source))
+            .unwrap();
         let addr = srv.local_addr();
 
         let health = get(addr, "/healthz");
@@ -300,13 +288,7 @@ mod tests {
     #[test]
     fn healthz_without_a_source_is_bare_liveness() {
         let traces = Arc::new(TraceStore::new());
-        let srv = TelemetryServer::start(
-            "127.0.0.1:0",
-            Arc::clone(&traces),
-            None,
-            Duration::from_millis(500),
-        )
-        .unwrap();
+        let srv = TelemetryServer::start("127.0.0.1:0", Arc::clone(&traces), None).unwrap();
         let health = get(srv.local_addr(), "/healthz");
         assert!(health.ends_with("ok\n"), "{health}");
         srv.stop();
@@ -317,13 +299,7 @@ mod tests {
         // Clients that don't read to EOF (curl keep-alive, framed probes)
         // need an exact Content-Length and an explicit close.
         let traces = Arc::new(TraceStore::new());
-        let srv = TelemetryServer::start(
-            "127.0.0.1:0",
-            Arc::clone(&traces),
-            None,
-            Duration::from_millis(500),
-        )
-        .unwrap();
+        let srv = TelemetryServer::start("127.0.0.1:0", Arc::clone(&traces), None).unwrap();
         let response = get(srv.local_addr(), "/healthz");
         let (head, body) = response.split_once("\r\n\r\n").expect("header/body split");
         assert!(head.contains("Connection: close"), "{head}");

@@ -8,6 +8,8 @@
 //! first-seen id assignment, same costs to the last bit. The digest reads
 //! no persistence codec, so a change of snapshot format cannot move it.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use rqp_ess::{CompileMode, Ess, EssConfig};
 use rqp_optimizer::Optimizer;
 use rqp_qplan::{CostModel, StableHasher};

@@ -14,6 +14,8 @@
 //! instance, so a decision holding eager plan ids can never be replayed
 //! against the lazy registry; this test keeps catching it if one ever is.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use rqp_core::{AlignedBound, Discovery, NativeOptimizer, PlanBouquet, ReOptimizer, SpillBound};
 use rqp_ess::EssConfig;
 use rqp_workloads::Workload;
