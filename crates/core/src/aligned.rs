@@ -13,11 +13,16 @@
 //! SpillBound's `|EPP|` executions, the algorithm falls back to the
 //! SpillBound procedure for that contour, retaining the `D²+3D` guarantee.
 //! Overall: `MSO ∈ [2D+2, D²+3D]`.
+//!
+//! AlignedBound is SpillBound with a different per-contour execution list:
+//! it runs on SpillBound's `contour_walk`, handing it the chosen
+//! partition's executions (one per part) or, on fallback, SpillBound's own
+//! list. A natively aligned part's execution is SpillBound's entry for its
+//! leader dimension; only induced parts carry plans of their own.
 
-use crate::bouquet::bouquet_endgame;
 use crate::knowledge::Knowledge;
 use crate::runtime::RobustRuntime;
-use crate::spillbound::{memo_choice, state_key};
+use crate::spillbound::{contour_walk, sb_list, state_key, SpillExec, SpillList};
 use crate::surface::memoise;
 use crate::trace::{DiscoveryTrace, PlanRef};
 use crate::Discovery;
@@ -51,24 +56,10 @@ pub(crate) fn partitions<T: Copy>(items: &[T]) -> Vec<Vec<Vec<T>>> {
     out
 }
 
-/// One spill execution chosen for a contour.
-#[derive(Clone)]
-struct PartExec {
-    /// Leader dimension learnt by this execution.
-    dim: EppId,
-    /// Plan reference for the trace.
-    plan_ref: PlanRef,
-    /// The plan tree to execute.
-    node: Arc<PlanNode>,
-    /// Assigned budget (cost of the plan at its reference cell).
-    budget: f64,
-    /// Reference cell supplying the spill-learning location.
-    reference: Cell,
-}
-
-/// The per-contour decision: the ordered executions plus bookkeeping.
+/// The per-contour decision: the ordered executions (one per part, led
+/// by the part's leader dimension) plus the Table-4 statistics.
 pub(crate) struct ContourDecision {
-    execs: Vec<PartExec>,
+    execs: SpillList,
     /// Total replacement penalty of the chosen partition (1.0 per natively
     /// aligned part).
     total_penalty: f64,
@@ -82,14 +73,14 @@ pub(crate) struct ContourDecision {
 /// The cheapest plan spilling on `dim` over the candidate cells: searches
 /// the POSP pool visible at the discovery band and asks the optimizer for
 /// a purpose-built plan (the §6.1 engine extension). Returns
-/// `(plan_ref, node, cell, cost)`.
+/// `(plan, cell, cost)`.
 fn cheapest_spilling_plan(
     rt: &RobustRuntime<'_>,
     cells: &[Cell],
     band: usize,
     dim: EppId,
     unlearnt: &BTreeSet<EppId>,
-) -> Option<(PlanRef, Arc<PlanNode>, Cell, f64)> {
+) -> Option<(PlanRef, Cell, f64)> {
     if cells.is_empty() {
         return None;
     }
@@ -101,7 +92,7 @@ fn cheapest_spilling_plan(
         cells.iter().copied().step_by(stride).collect()
     };
 
-    let mut best: Option<(PlanRef, Arc<PlanNode>, Cell, f64)> = None;
+    let mut best: Option<(PlanRef, Cell, f64)> = None;
     // pool: plans the surface assigns on contours up to the discovery
     // band, ordered by structural fingerprint. Both bounds keep the
     // candidate set surface-independent: a lazy surface has compiled
@@ -122,21 +113,20 @@ fn cheapest_spilling_plan(
         .collect();
     pool.sort_by_key(|(_, p)| Fingerprint::of(p));
     for &cell in &capped {
-        for (id, node) in &pool {
+        for (id, _) in &pool {
             let cost = rt.plan_cost_at(*id, cell);
-            if best.as_ref().is_none_or(|b| cost < b.3) {
-                best = Some((PlanRef::Posp(*id), Arc::clone(node), cell, cost));
+            if best.as_ref().is_none_or(|b| cost < b.2) {
+                best = Some((PlanRef::Posp(*id), cell, cost));
             }
         }
     }
     // bespoke candidate from the spill-constrained optimizer at the
     // currently-cheapest cell (or the first candidate cell)
-    let probe_cell = best.as_ref().map_or(capped[0], |b| b.2);
+    let probe_cell = best.as_ref().map_or(capped[0], |b| b.1);
     let loc = rt.grid().location(probe_cell);
     if let Some(planned) = rt.optimizer.optimize_spilling_on(&loc, dim, unlearnt) {
-        if best.as_ref().is_none_or(|b| planned.cost < b.3) {
-            let node = Arc::new(planned.plan);
-            best = Some((PlanRef::Bespoke(Arc::clone(&node)), node, probe_cell, planned.cost));
+        if best.as_ref().is_none_or(|b| planned.cost < b.2) {
+            best = Some((PlanRef::Bespoke(Arc::new(planned.plan)), probe_cell, planned.cost));
         }
     }
     best
@@ -207,7 +197,7 @@ fn compute_decision(
     }
     if spill_cells.is_empty() {
         return ContourDecision {
-            execs: Vec::new(),
+            execs: SpillList::default(),
             total_penalty: 0.0,
             max_part_penalty: 1.0,
             fallback: false,
@@ -226,19 +216,19 @@ fn compute_decision(
     }
     let present: Vec<EppId> = (0..dims).filter(|&d| max_coord[d][d].is_some()).map(EppId).collect();
 
-    // SpillBound's per-dimension choice, reused for native parts and the
-    // fallback
-    let sb_choice = memo_choice(rt, band, know, unlearnt);
+    // SpillBound's list (one execution per present dimension), reused for
+    // native parts and the fallback
+    let sb = sb_list(rt, band, know, unlearnt);
 
     // evaluate every partition of the present dimensions
-    let mut best: Option<(f64, f64, Vec<PartExec>)> = None;
+    let mut best: Option<(f64, f64, Vec<SpillExec>)> = None;
     for partition in partitions(&present) {
         let mut execs = Vec::new();
         let mut penalty_total = 0.0;
         let mut penalty_max = 1.0f64;
         let mut feasible = true;
         for part in &partition {
-            let mut part_best: Option<(f64, PartExec)> = None;
+            let mut part_best: Option<(f64, SpillExec)> = None;
             for &leader in part {
                 let j = leader.0;
                 // qTj: extreme coordinate along j among cells spilling on
@@ -253,22 +243,11 @@ fn compute_decision(
                 };
                 let (penalty, exec) = if q_t_j <= native_max {
                     // natively aligned: SpillBound's P^j_max covers the part
-                    let Some((cell, plan_id)) = sb_choice.per_dim[j] else {
+                    let Some(exec) = sb.iter().find(|e| e.dim == leader) else {
                         debug_assert!(false, "present dim {j} must have a choice");
                         continue;
                     };
-                    let budget = rt.oracle_cost(cell);
-                    rt.debug_check_band_budget(band, budget);
-                    (
-                        1.0,
-                        PartExec {
-                            dim: leader,
-                            plan_ref: PlanRef::Posp(plan_id),
-                            node: rt.plan(plan_id),
-                            budget,
-                            reference: cell,
-                        },
-                    )
+                    (1.0, exec.clone())
                 } else {
                     // induce: replace the optimal plan at a location with
                     // coordinate qTj along j by a j-spilling plan
@@ -279,18 +258,11 @@ fn compute_decision(
                         .collect();
                     match cheapest_spilling_plan(rt, &s_cells, band, leader, unlearnt) {
                         None => continue,
-                        Some((plan_ref, node, cell, cost)) => {
+                        Some((plan, cell, cost)) => {
                             let penalty = cost / rt.oracle_cost(cell);
-                            (
-                                penalty.max(1.0),
-                                PartExec {
-                                    dim: leader,
-                                    plan_ref,
-                                    node,
-                                    budget: cost,
-                                    reference: cell,
-                                },
-                            )
+                            let exec =
+                                SpillExec { dim: leader, plan, budget: cost, reference: cell };
+                            (penalty.max(1.0), exec)
                         }
                     }
                 };
@@ -315,42 +287,36 @@ fn compute_decision(
         }
     }
 
-    // SpillBound's own per-dimension procedure: the quadratic-guarantee
-    // fallback, and the degradation path should no partition be feasible
-    // (debug builds treat the latter as unreachable — the singleton
-    // partition is always feasible).
-    let spillbound_fallback = || -> ContourDecision {
-        let execs = present
-            .iter()
-            .filter_map(|&j| {
-                sb_choice.per_dim[j.0].map(|(cell, plan_id)| PartExec {
-                    dim: j,
-                    plan_ref: PlanRef::Posp(plan_id),
-                    node: rt.plan(plan_id),
-                    budget: rt.oracle_cost(cell),
-                    reference: cell,
-                })
-            })
-            .collect();
-        ContourDecision {
-            execs,
-            total_penalty: present.len() as f64,
-            max_part_penalty: 1.0,
-            fallback: true,
-        }
-    };
-
-    let Some((total_penalty, max_part_penalty, execs)) = best else {
-        debug_assert!(false, "singleton partition is always feasible");
-        return spillbound_fallback();
-    };
-
     // retain the quadratic guarantee: if inducing alignment costs more than
-    // SpillBound's |present| executions would, run SpillBound's procedure
-    if total_penalty > present.len() as f64 + 1e-9 {
-        return spillbound_fallback();
+    // SpillBound's |present| executions would, run SpillBound's list. It is
+    // also the degradation path should no partition be feasible (debug
+    // builds treat that as unreachable — the singleton partition is always
+    // feasible).
+    let n = present.len() as f64;
+    match best {
+        Some((total_penalty, max_part_penalty, execs)) if total_penalty <= n + 1e-9 => {
+            let execs = Arc::new(execs);
+            ContourDecision { execs, total_penalty, max_part_penalty, fallback: false }
+        }
+        best => {
+            debug_assert!(best.is_some(), "singleton partition is always feasible");
+            ContourDecision { execs: sb, total_penalty: n, max_part_penalty: 1.0, fallback: true }
+        }
     }
-    ContourDecision { execs, total_penalty, max_part_penalty, fallback: false }
+}
+
+/// AlignedBound's execution list for a band's effective slice: the
+/// memoised partition decision's executions.
+fn ab_list(
+    rt: &RobustRuntime<'_>,
+    band: usize,
+    know: &Knowledge,
+    unlearnt: &BTreeSet<EppId>,
+) -> SpillList {
+    let decision = memoise(&rt.memo().ab, state_key(rt, band, know), || {
+        compute_decision(rt, band, know, unlearnt)
+    });
+    Arc::clone(&decision.execs)
 }
 
 impl Discovery for AlignedBound {
@@ -359,66 +325,7 @@ impl Discovery for AlignedBound {
     }
 
     fn discover(&self, rt: &RobustRuntime<'_>, qa: Cell) -> DiscoveryTrace {
-        let grid = rt.grid();
-        let qa_loc = grid.location(qa);
-        let m = rt.num_bands();
-        let mut sup = rt.supervisor(self.name());
-        let mut know = Knowledge::new(grid);
-        let mut band = 0usize;
-
-        loop {
-            let _band_span = sup.band_span(band);
-            let unlearnt = know.unlearnt();
-            if unlearnt.len() <= 1 || band >= m {
-                bouquet_endgame(rt, &know, band.min(m - 1), &qa_loc, &mut sup);
-                break;
-            }
-            let decision = memoise(&rt.memo().ab, state_key(rt, band, &know), || {
-                compute_decision(rt, band, &know, &unlearnt)
-            });
-            let mut learnt_exact = false;
-            for exec in &decision.execs {
-                // graceful degradation: a quarantined aligned (possibly
-                // induced) plan is replaced by SpillBound's surrogate
-                // choice for the same dimension, retaining the quadratic
-                // guarantee's execution shape
-                let mut plan_ref = exec.plan_ref.clone();
-                let mut node = Arc::clone(&exec.node);
-                let mut budget = exec.budget;
-                let mut ref_cell = exec.reference;
-                if sup.is_quarantined(&node) {
-                    let sb = memo_choice(rt, band, &know, &unlearnt);
-                    if let Some((cell, plan_id)) = sb.per_dim[exec.dim.0] {
-                        let surrogate = rt.plan(plan_id);
-                        if !sup.is_quarantined(&surrogate) {
-                            plan_ref = PlanRef::Posp(plan_id);
-                            node = surrogate;
-                            budget = rt.oracle_cost(cell);
-                            ref_cell = cell;
-                        }
-                    }
-                }
-                let reference = grid.location(ref_cell);
-                let out = sup.execute_spill(
-                    &rt.engine, &node, &plan_ref, band, exec.dim, &reference, &qa_loc, budget,
-                    false,
-                );
-                if out.learned.is_exact() {
-                    know.learn_exact(exec.dim, out.learned.value());
-                    learnt_exact = true;
-                    break;
-                } else {
-                    know.learn_bound(exec.dim, out.learned.value());
-                }
-            }
-            if !learnt_exact {
-                // half-space pruning: qa lies beyond this contour
-                crate::obs::half_space_prune(self.name(), band, unlearnt.len());
-                band += 1;
-            }
-        }
-
-        sup.finish(qa, rt.oracle_cost(qa), None)
+        contour_walk(rt, qa, self.name(), false, ab_list)
     }
 }
 
@@ -500,7 +407,7 @@ pub fn alignment_stats(rt: &RobustRuntime<'_>) -> AlignmentStats {
             // extreme location with a j-spilling plan
             let extreme_cells: Vec<Cell> =
                 cells.iter().copied().filter(|&c| grid.coord(c, j) == ext[j]).collect();
-            if let Some((_, _, cell, cost)) =
+            if let Some((_, cell, cost)) =
                 cheapest_spilling_plan(rt, &extreme_cells, band, EppId(j), &unlearnt)
             {
                 penalty = penalty.min((cost / rt.oracle_cost(cell)).max(1.0));
@@ -517,22 +424,7 @@ mod tests {
     use crate::eval::evaluate;
     use crate::guarantees::sb_guarantee;
     use crate::spillbound::SpillBound;
-    use crate::test_support::example_2d;
-    use rqp_ess::EssConfig;
-    use rqp_qplan::CostModel;
-
-    fn runtime() -> RobustRuntime<'static> {
-        let (catalog, query) = example_2d();
-        let catalog: &'static _ = Box::leak(Box::new(catalog));
-        let query: &'static _ = Box::leak(Box::new(query));
-        RobustRuntime::compile(
-            catalog,
-            query,
-            CostModel::default(),
-            EssConfig { resolution: 12, min_sel: 1e-6, ..Default::default() },
-        )
-        .unwrap()
-    }
+    use crate::test_support::{example_2d, runtime};
 
     #[test]
     fn partition_enumeration_matches_bell_numbers() {
@@ -552,7 +444,7 @@ mod tests {
 
     #[test]
     fn completes_everywhere_within_band_adjusted_guarantee() {
-        let rt = runtime();
+        let rt = runtime(example_2d(), 12);
         let ab = AlignedBound::new();
         let bound = 2.0 * sb_guarantee(rt.dims());
         for qa in rt.grid().cells() {
@@ -565,7 +457,7 @@ mod tests {
 
     #[test]
     fn ab_no_worse_than_sb_on_mso_here() {
-        let rt = runtime();
+        let rt = runtime(example_2d(), 12);
         let sb = evaluate(&rt, &SpillBound::new());
         let ab = evaluate(&rt, &AlignedBound::new());
         // AB exploits alignment; on this workload it should be at least
@@ -580,7 +472,7 @@ mod tests {
 
     #[test]
     fn alignment_stats_are_well_formed() {
-        let rt = runtime();
+        let rt = runtime(example_2d(), 12);
         let stats = alignment_stats(&rt);
         assert!(!stats.per_contour_penalty.is_empty());
         for &p in &stats.per_contour_penalty {

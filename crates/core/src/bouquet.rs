@@ -1,5 +1,5 @@
-//! The PlanBouquet baseline (Dutt & Haritsa, TODS 2016) and the shared
-//! 1-D "endgame" used by SpillBound and AlignedBound.
+//! The PlanBouquet baseline (Dutt & Haritsa, TODS 2016) and the bouquet
+//! walk it shares with the 1-D endgame of SpillBound and AlignedBound.
 //!
 //! PlanBouquet walks the doubling iso-cost contours from the cheapest
 //! upward; on each contour it executes *every* contour plan under the
@@ -7,6 +7,13 @@
 //! completes (§1.1). Its guarantee is `MSO ≤ 4(1+λ)·ρ_red`, where `ρ_red`
 //! is the maximum contour plan-density after anorexic reduction — a
 //! *behavioural* bound that depends on the optimizer and platform.
+//!
+//! `bouquet_walk` is the one loop that runs budgeted full executions per
+//! band. PlanBouquet runs it from band 0 with no knowledge, over the raw
+//! diagram's lists (memoised per surface) or the anorexic ones (built at
+//! construction). The spill walk's endgame runs it from the contour it
+//! reached, over the lists of `effective_plans`: the plans of the cells
+//! matching the exactly-learnt dimensions.
 
 use crate::knowledge::Knowledge;
 use crate::runtime::RobustRuntime;
@@ -14,7 +21,7 @@ use crate::supervise::Supervisor;
 use crate::surface::memoise;
 use crate::trace::{DiscoveryTrace, PlanRef};
 use crate::Discovery;
-use rqp_catalog::RqpResult;
+use rqp_catalog::{RqpResult, SelVector};
 use rqp_ess::{anorexic_reduce, Cell, Ess, PlanId, Reduced};
 use rqp_qplan::PlanNode;
 use std::collections::BTreeMap;
@@ -145,55 +152,65 @@ impl Discovery for PlanBouquet {
     }
 
     fn discover(&self, rt: &RobustRuntime<'_>, qa: Cell) -> DiscoveryTrace {
-        let qa_loc = rt.grid().location(qa);
+        let grid = rt.grid();
         let mut sup = rt.supervisor(self.name());
-        for band in 0..rt.num_bands() {
-            let _band_span = sup.band_span(band);
-            for &(plan_id, budget) in self.band_plans(rt, band).iter() {
-                let plan = self.plan_node(rt, plan_id);
-                // graceful degradation: a plan whose supervision gave up
-                // (or that is quarantined) falls through to the next
-                // contour plan — the doubling walk absorbs the skip
-                let plan_ref = PlanRef::Posp(plan_id);
-                let Some(out) =
-                    sup.execute_full(&rt.engine, &plan, &plan_ref, band, &qa_loc, budget)
-                else {
-                    continue;
-                };
-                if out.completed() {
-                    return sup.finish(qa, rt.oracle_cost(qa), None);
-                }
-            }
-        }
-        // Unreachable under a perfect cost model (qa's own band plan always
-        // completes); with a δ-perturbed engine (§7) actual costs can
-        // overshoot every budget — or chaos can quarantine every contour
-        // plan — so run the final plan to completion.
-        run_to_completion(rt, None, &qa_loc, &mut sup);
+        bouquet_walk(
+            rt,
+            &mut sup,
+            &grid.location(qa),
+            0,
+            &Knowledge::new(grid),
+            |band| self.band_plans(rt, band),
+            |id| self.plan_node(rt, id),
+        );
         sup.finish(qa, rt.oracle_cost(qa), None)
     }
 }
 
-/// Terminal safety net: execute the plan at the *effective terminus* —
-/// learnt dimensions pinned to their exact values, unlearnt dimensions at
-/// their maxima — with an unbounded budget (a real engine's "just finish
-/// it" step). The choice uses only discovered knowledge, never `qa`. Only
-/// reachable when the engine's actual costs deviate from the model (δ > 0).
-pub(crate) fn run_to_completion(
+/// The bouquet walk: from `from_band` upward, run each band's execution
+/// list (`lists`, plan ids resolved by `node`) as budgeted full
+/// executions until one completes. Plans run in regular (non-spill) mode —
+/// spilling in the 1-D endgame weakens the bound. A plan whose
+/// supervision gave up (or that is quarantined) falls through to the next
+/// one, exactly like a budget expiry; the doubling walk absorbs the skip.
+pub(crate) fn bouquet_walk(
     rt: &RobustRuntime<'_>,
-    know: Option<&Knowledge>,
-    qa_loc: &rqp_catalog::SelVector,
     sup: &mut Supervisor,
+    qa_loc: &SelVector,
+    from_band: usize,
+    know: &Knowledge,
+    lists: impl Fn(usize) -> BandPlans,
+    node: impl Fn(PlanId) -> Arc<PlanNode>,
 ) {
+    for band in from_band..rt.num_bands() {
+        let _band_span = sup.band_span(band);
+        for &(plan_id, budget) in lists(band).iter() {
+            let plan = node(plan_id);
+            let plan_ref = PlanRef::Posp(plan_id);
+            let Some(out) = sup.execute_full(&rt.engine, &plan, &plan_ref, band, qa_loc, budget)
+            else {
+                continue;
+            };
+            if out.completed() {
+                return;
+            }
+        }
+    }
+    // Terminal safety net, unreachable under a perfect cost model (qa's own
+    // band plan always completes): with a δ-perturbed engine (§7) actual
+    // costs can overshoot every budget, or chaos can quarantine every
+    // contour plan. Run the plan at the *effective terminus* — learnt
+    // dimensions pinned to their exact values, unlearnt ones at their
+    // maxima — with an unbounded budget (a real engine's "just finish it"
+    // step). The choice uses only discovered knowledge, never `qa`.
     let grid = rt.grid();
     let coords: Vec<usize> = (0..grid.dims())
-        .map(|d| match know.and_then(|k| k.exact(rqp_catalog::EppId(d))) {
+        .map(|d| match know.exact(rqp_catalog::EppId(d)) {
             Some(v) => grid.snap_ceil(d, v),
             None => grid.res(d) - 1,
         })
         .collect();
-    let cell = grid.index(&coords);
-    let plan_id = rt.plan_id_at(cell);
+    let plan_id = rt.plan_id_at(grid.index(&coords));
     let plan = rt.plan(plan_id);
     let band = rt.num_bands() - 1;
     let plan_ref = PlanRef::Posp(plan_id);
@@ -210,76 +227,34 @@ pub(crate) fn run_to_completion(
     }
 }
 
-/// The shared endgame: plain contour-wise PlanBouquet over the *effective
-/// search space* (cells matching the exactly-learnt dimensions), starting
-/// from `start_band`. Used by 2D-SpillBound's 1-D phase (§4.1: "we simply
-/// invoke the standard PlanBouquet with only the [remaining] epp, starting
-/// from the contour currently being explored") and its D-dimensional and
-/// AlignedBound generalizations. Plans run in regular (non-spill) mode —
-/// spilling in the 1-D case weakens the bound.
-pub(crate) fn bouquet_endgame(
-    rt: &RobustRuntime<'_>,
-    know: &Knowledge,
-    start_band: usize,
-    qa_loc: &rqp_catalog::SelVector,
-    sup: &mut Supervisor,
-) {
+/// The endgame's execution list for `band`: the distinct plans on the
+/// band's *effective slice* (cells matching the exactly-learnt dimensions)
+/// with their budgets. The endgame is 2D-SpillBound's 1-D phase (§4.1: "we
+/// simply invoke the standard PlanBouquet with only the [remaining] epp,
+/// starting from the contour currently being explored") and its
+/// D-dimensional and AlignedBound generalizations.
+pub(crate) fn effective_plans(rt: &RobustRuntime<'_>, band: usize, know: &Knowledge) -> BandPlans {
     let grid = rt.grid();
-    for band in start_band..rt.num_bands() {
-        // distinct plans on the effective slice of this band, with budgets
-        let plans = by_budget(
-            rt.band_cells(band)
-                .iter()
-                .filter(|&&cell| know.matches_exact(grid, cell))
-                .map(|&cell| (rt.plan_id_at(cell), rt.oracle_cost(cell))),
-        );
-        for (plan_id, budget) in plans {
-            rt.debug_check_band_budget(band, budget);
-            let plan = rt.plan(plan_id);
-            // a plan whose supervision gave up falls through to the next
-            // one, exactly like a budget expiry
-            let plan_ref = PlanRef::Posp(plan_id);
-            let Some(out) = sup.execute_full(&rt.engine, &plan, &plan_ref, band, qa_loc, budget)
-            else {
-                continue;
-            };
-            if out.completed() {
-                return;
-            }
-        }
+    let plans = by_budget(
+        rt.band_cells(band)
+            .iter()
+            .filter(|&&cell| know.matches_exact(grid, cell))
+            .map(|&cell| (rt.plan_id_at(cell), rt.oracle_cost(cell))),
+    );
+    for &(_, budget) in &plans {
+        rt.debug_check_band_budget(band, budget);
     }
-    // only reachable with a δ-perturbed engine or under chaos; see
-    // `run_to_completion`
-    run_to_completion(rt, Some(know), qa_loc, sup);
+    Arc::new(plans)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::example_2d;
-    use rqp_ess::EssConfig;
-    use rqp_qplan::CostModel;
-
-    fn runtime(
-        catalog: &rqp_catalog::Catalog,
-        query: &rqp_catalog::Query,
-    ) -> RobustRuntime<'static> {
-        // tests keep fixtures alive via Box::leak for simplicity
-        let catalog: &'static _ = Box::leak(Box::new(catalog.clone()));
-        let query: &'static _ = Box::leak(Box::new(query.clone()));
-        RobustRuntime::compile(
-            catalog,
-            query,
-            CostModel::default(),
-            EssConfig { resolution: 12, min_sel: 1e-6, ..Default::default() },
-        )
-        .unwrap()
-    }
+    use crate::test_support::{example_2d, runtime};
 
     #[test]
     fn completes_everywhere_with_subopt_at_least_one() {
-        let (catalog, query) = example_2d();
-        let rt = runtime(&catalog, &query);
+        let rt = runtime(example_2d(), 12);
         let pb = PlanBouquet::new();
         for qa in rt.grid().cells() {
             let t = pb.discover(&rt, qa);
@@ -290,8 +265,7 @@ mod tests {
 
     #[test]
     fn never_executes_more_than_density_per_band() {
-        let (catalog, query) = example_2d();
-        let rt = runtime(&catalog, &query);
+        let rt = runtime(example_2d(), 12);
         let pb = PlanBouquet::new();
         let t = pb.discover(&rt, rt.grid().terminus());
         let mut per_band: BTreeMap<usize, usize> = BTreeMap::new();
@@ -305,8 +279,7 @@ mod tests {
 
     #[test]
     fn anorexic_variant_respects_guarantee_parameters() {
-        let (catalog, query) = example_2d();
-        let rt = runtime(&catalog, &query);
+        let rt = runtime(example_2d(), 12);
         let raw = PlanBouquet::new();
         let red = PlanBouquet::anorexic(&rt, 0.2).unwrap();
         assert!(red.rho(&rt) <= raw.rho(&rt));
@@ -332,11 +305,10 @@ mod tests {
 
     #[test]
     fn raw_and_anorexic_bouquets_do_not_share_band_lists() {
-        let (catalog, query) = example_2d();
-        let cells: Vec<Cell> = runtime(&catalog, &query).grid().cells().collect();
+        let cells: Vec<Cell> = runtime(example_2d(), 12).grid().cells().collect();
         // each variant alone, on a runtime of its own
         let alone = |anorexic: bool| -> Vec<_> {
-            let rt = runtime(&catalog, &query);
+            let rt = runtime(example_2d(), 12);
             let pb = if anorexic {
                 PlanBouquet::anorexic(&rt, 0.2).unwrap()
             } else {
@@ -348,7 +320,7 @@ mod tests {
         assert_ne!(raw_alone, red_alone, "the reduction must change some trace here");
         // both on one runtime (one surface memo), in either order
         for raw_first in [true, false] {
-            let rt = runtime(&catalog, &query);
+            let rt = runtime(example_2d(), 12);
             let raw = PlanBouquet::new();
             let red = PlanBouquet::anorexic(&rt, 0.2).unwrap();
             let order: [(&PlanBouquet, &Vec<_>); 2] = if raw_first {
@@ -375,8 +347,7 @@ mod tests {
         // against its contour budget is charged the *whole* budget in the
         // trace, even though the row executor aborted mid-flight — and the
         // trace total accumulates every such charge
-        let (catalog, query) = example_2d();
-        let rt = runtime(&catalog, &query);
+        let rt = runtime(example_2d(), 12);
         let pb = PlanBouquet::new();
         let t = pb.discover(&rt, rt.grid().terminus());
         let expired: Vec<_> =
@@ -400,8 +371,7 @@ mod tests {
 
     #[test]
     fn origin_instance_is_cheap() {
-        let (catalog, query) = example_2d();
-        let rt = runtime(&catalog, &query);
+        let rt = runtime(example_2d(), 12);
         let pb = PlanBouquet::new();
         let t = pb.discover(&rt, rt.grid().origin());
         // qa at the origin lies on the first contour: few executions

@@ -26,6 +26,12 @@
 //!   estimated location `qe`, run that plan wherever `qa` actually is.
 //! * [`eval`] — the exhaustive empirical-MSO harness behind Figs. 8–13.
 //!
+//! PlanBouquet, SpillBound and AlignedBound run on two walks. The spill
+//! walk ([`spillbound`]) spill-executes a per-contour list; SpillBound and
+//! AlignedBound differ only in that list. The bouquet walk ([`bouquet`])
+//! runs budgeted full executions band by band; it is PlanBouquet itself
+//! and the 1-D endgame of the spill walk.
+//!
 //! All algorithms implement the [`Discovery`] trait and produce complete
 //! [`trace::DiscoveryTrace`]s.
 
@@ -78,7 +84,20 @@ pub trait Discovery: Sync {
 pub(crate) mod test_support {
     //! Shared fixtures for the crate's unit tests.
 
+    use crate::RobustRuntime;
     use rqp_catalog::{Catalog, CatalogBuilder, Query, QueryBuilder, RelationBuilder};
+    use rqp_ess::EssConfig;
+    use rqp_qplan::CostModel;
+
+    /// Compile `fixture` at `resolution` under the default cost model. The
+    /// fixture is leaked so the runtime can borrow it for the whole test.
+    pub fn runtime(fixture: (Catalog, Query), resolution: usize) -> RobustRuntime<'static> {
+        let (catalog, query) = fixture;
+        let catalog: &'static _ = Box::leak(Box::new(catalog));
+        let query: &'static _ = Box::leak(Box::new(query));
+        let config = EssConfig { resolution, min_sel: 1e-6, ..Default::default() };
+        RobustRuntime::compile(catalog, query, CostModel::default(), config).unwrap()
+    }
 
     /// A 3-relation catalog and the introduction's example query EQ with
     /// two error-prone join predicates.

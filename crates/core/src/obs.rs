@@ -5,9 +5,10 @@
 //! `learned_selectivity` event per learning step) and hands the finished
 //! [`DiscoveryTrace`] to [`record_trace`] once, which bumps the run,
 //! completion and structured-failure counters and emits one
-//! `discovery_complete` summary. Discovery runs in rayon threads during
-//! exhaustive MSO evaluation, so everything here is lock-free past the
-//! registry lookup.
+//! `discovery_complete` summary. Exhaustive MSO evaluation runs through
+//! the vendored rayon stub, which is sequential, but serve workers run
+//! discovery on several threads at once, so everything here is lock-free
+//! past the registry lookup.
 
 use crate::trace::DiscoveryTrace;
 use rqp_catalog::EppId;

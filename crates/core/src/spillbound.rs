@@ -1,4 +1,5 @@
-//! The SpillBound algorithm (Algorithm 1, §4).
+//! The SpillBound algorithm (Algorithm 1, §4) and the spill walk it
+//! shares with AlignedBound.
 //!
 //! SpillBound walks the same doubling contours as PlanBouquet but replaces
 //! brute-force plan cycling with *spill-mode* executions: on each contour,
@@ -17,8 +18,14 @@
 //! `D(D-1)/2` repeat executions overall (Lemma 4.4), giving
 //! `MSO ≤ D² + 3D` — a *structural* bound independent of the optimizer and
 //! platform.
+//!
+//! `contour_walk` is the one loop that spill-executes per contour. It
+//! runs SpillBound and AlignedBound alike; the two differ only in the
+//! per-contour execution list it is handed. SpillBound's list is
+//! `sb_list`: one `SpillExec` per unlearnt dimension that some
+//! effective contour plan spills on, in ascending dimension order.
 
-use crate::bouquet::bouquet_endgame;
+use crate::bouquet::{bouquet_walk, effective_plans};
 use crate::knowledge::Knowledge;
 use crate::runtime::RobustRuntime;
 use crate::surface::memoise;
@@ -27,6 +34,7 @@ use crate::Discovery;
 use rqp_catalog::EppId;
 use rqp_ess::{Cell, PlanId};
 use rqp_qplan::pipeline::spill_target;
+use rqp_qplan::PlanNode;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -36,10 +44,30 @@ use std::sync::Arc;
 /// identity.
 pub(crate) type StateKey = (usize, Vec<(usize, usize)>);
 
-/// Per-contour choice: for each dimension, the maximal-learning cell and
-/// its plan (`(q^j_max, P^j_max)`), if any contour plan spills on `j`.
-pub(crate) struct ContourChoice {
-    pub per_dim: Vec<Option<(Cell, PlanId)>>,
+/// A contour's execution list, in execution order.
+pub(crate) type SpillList = Arc<Vec<SpillExec>>;
+
+/// One spill execution of a contour's list.
+#[derive(Clone)]
+pub(crate) struct SpillExec {
+    /// The dimension this execution learns.
+    pub dim: EppId,
+    /// The plan to spill-execute.
+    pub plan: PlanRef,
+    /// Assigned budget (cost of the plan at its reference cell).
+    pub budget: f64,
+    /// Reference cell supplying the spill-learning location.
+    pub reference: Cell,
+}
+
+impl SpillExec {
+    /// The plan tree to execute.
+    fn node(&self, rt: &RobustRuntime<'_>) -> Arc<PlanNode> {
+        match &self.plan {
+            PlanRef::Posp(id) => rt.plan(*id),
+            PlanRef::Bespoke(node) => Arc::clone(node),
+        }
+    }
 }
 
 /// Build the cache key for the current knowledge state.
@@ -54,42 +82,122 @@ pub(crate) fn state_key(rt: &RobustRuntime<'_>, band: usize, know: &Knowledge) -
     (band, learnt)
 }
 
-/// Compute `(q^j_max, P^j_max)` for every unlearnt dimension on the
-/// effective slice of a band.
-pub(crate) fn contour_choice(
+/// SpillBound's execution list for a band's effective slice, through the
+/// surface's memo: `(q^j_max, P^j_max)` for every unlearnt dimension `j`
+/// that some contour plan spills on, budgeted at the optimal cost of
+/// `q^j_max`, in ascending `j`.
+pub(crate) fn sb_list(
     rt: &RobustRuntime<'_>,
     band: usize,
     know: &Knowledge,
     unlearnt: &BTreeSet<EppId>,
-) -> ContourChoice {
-    let grid = rt.grid();
-    let mut per_dim: Vec<Option<(Cell, PlanId)>> = vec![None; grid.dims()];
-    for &cell in rt.band_cells(band).iter() {
-        if !know.matches_exact(grid, cell) {
-            continue;
+) -> SpillList {
+    memoise(&rt.memo().sb, state_key(rt, band, know), || {
+        let grid = rt.grid();
+        let mut per_dim: Vec<Option<(Cell, PlanId)>> = vec![None; grid.dims()];
+        for &cell in rt.band_cells(band).iter() {
+            if !know.matches_exact(grid, cell) {
+                continue;
+            }
+            let plan_id = rt.plan_id_at(cell);
+            let plan = rt.plan(plan_id);
+            let Some(j) = spill_target(&plan, rt.query, unlearnt) else { continue };
+            let better = match per_dim[j.0] {
+                None => true,
+                Some((best, _)) => grid.coord(cell, j.0) > grid.coord(best, j.0),
+            };
+            if better {
+                per_dim[j.0] = Some((cell, plan_id));
+            }
         }
-        let plan_id = rt.plan_id_at(cell);
-        let plan = rt.plan(plan_id);
-        let Some(j) = spill_target(&plan, rt.query, unlearnt) else { continue };
-        let better = match per_dim[j.0] {
-            None => true,
-            Some((best, _)) => grid.coord(cell, j.0) > grid.coord(best, j.0),
-        };
-        if better {
-            per_dim[j.0] = Some((cell, plan_id));
-        }
-    }
-    ContourChoice { per_dim }
+        // a dimension no contour plan spills on is skipped (§4.2)
+        let execs = per_dim.into_iter().enumerate().filter_map(|(j, choice)| {
+            let (cell, plan_id) = choice?;
+            let budget = rt.oracle_cost(cell);
+            rt.debug_check_band_budget(band, budget);
+            Some(SpillExec { dim: EppId(j), plan: PlanRef::Posp(plan_id), budget, reference: cell })
+        });
+        execs.collect()
+    })
 }
 
-/// [`contour_choice`] through the surface's memo.
-pub(crate) fn memo_choice(
+/// The spill walk shared by SpillBound and AlignedBound. On each contour
+/// it spill-executes `list`'s executions in order until one learns its
+/// dimension exactly, then re-derives the list on the same contour with
+/// the new knowledge; when none does, `qa` lies beyond the contour
+/// (half-space pruning) and the walk moves to the next one. With at most
+/// one epp unlearnt (or the contours exhausted) it hands off to the
+/// bouquet endgame over the effective slice (§4.1).
+///
+/// A quarantined plan is replaced by SpillBound's execution for the same
+/// dimension, retaining the quadratic guarantee's execution shape. For
+/// SpillBound's own list that surrogate is the quarantined plan itself,
+/// so the rule changes nothing there.
+pub(crate) fn contour_walk(
     rt: &RobustRuntime<'_>,
-    band: usize,
-    know: &Knowledge,
-    unlearnt: &BTreeSet<EppId>,
-) -> Arc<ContourChoice> {
-    memoise(&rt.memo().sb, state_key(rt, band, know), || contour_choice(rt, band, know, unlearnt))
+    qa: Cell,
+    name: &'static str,
+    refine_bounds: bool,
+    list: impl Fn(&RobustRuntime<'_>, usize, &Knowledge, &BTreeSet<EppId>) -> SpillList,
+) -> DiscoveryTrace {
+    let grid = rt.grid();
+    let qa_loc = grid.location(qa);
+    let m = rt.num_bands();
+    let mut sup = rt.supervisor(name);
+    let mut know = Knowledge::new(grid);
+    let mut band = 0usize;
+
+    loop {
+        let unlearnt = know.unlearnt();
+        if unlearnt.len() <= 1 || band >= m {
+            let lists = |b| effective_plans(rt, b, &know);
+            bouquet_walk(rt, &mut sup, &qa_loc, band.min(m - 1), &know, lists, |id| rt.plan(id));
+            break;
+        }
+        let _band_span = sup.band_span(band);
+        let mut learnt_exact = false;
+        for exec in list(rt, band, &know, &unlearnt).iter() {
+            let mut exec = exec.clone();
+            let mut node = exec.node(rt);
+            if sup.is_quarantined(&node) {
+                let sb = sb_list(rt, band, &know, &unlearnt);
+                let dim = exec.dim;
+                if let Some(s) =
+                    sb.iter().find(|s| s.dim == dim && !sup.is_quarantined(&s.node(rt)))
+                {
+                    exec = s.clone();
+                    node = exec.node(rt);
+                }
+            }
+            let reference = grid.location(exec.reference);
+            // supervised: retried on injected failures, backed by a clean
+            // surrogate execution, so the observation is always sound
+            let out = sup.execute_spill(
+                &rt.engine,
+                &node,
+                &exec.plan,
+                band,
+                exec.dim,
+                &reference,
+                &qa_loc,
+                exec.budget,
+                refine_bounds,
+            );
+            if out.learned.is_exact() {
+                know.learn_exact(exec.dim, out.learned.value());
+                learnt_exact = true;
+                break; // re-derive the list on the same contour
+            } else {
+                know.learn_bound(exec.dim, out.learned.value());
+            }
+        }
+        if !learnt_exact {
+            // half-space pruning: qa lies beyond this contour
+            crate::obs::half_space_prune(name, band, unlearnt.len());
+            band += 1;
+        }
+    }
+    sup.finish(qa, rt.oracle_cost(qa), None)
 }
 
 /// The SpillBound algorithm.
@@ -126,87 +234,21 @@ impl Discovery for SpillBound {
     }
 
     fn discover(&self, rt: &RobustRuntime<'_>, qa: Cell) -> DiscoveryTrace {
-        let grid = rt.grid();
-        let qa_loc = grid.location(qa);
-        let m = rt.num_bands();
-        let mut sup = rt.supervisor(self.name());
-        let mut know = Knowledge::new(grid);
-        let mut band = 0usize;
-
-        loop {
-            let _band_span = sup.band_span(band);
-            let unlearnt = know.unlearnt();
-            if unlearnt.len() <= 1 || band >= m {
-                bouquet_endgame(rt, &know, band.min(m - 1), &qa_loc, &mut sup);
-                break;
-            }
-            let choice = memo_choice(rt, band, &know, &unlearnt);
-            let mut learnt_exact = false;
-            for &j in &unlearnt {
-                let Some((cell, plan_id)) = choice.per_dim[j.0] else {
-                    continue; // no contour plan spills on this epp: skip (§4.2)
-                };
-                let plan = rt.plan(plan_id);
-                let budget = rt.oracle_cost(cell);
-                rt.debug_check_band_budget(band, budget);
-                let reference = grid.location(cell);
-                // supervised: retried on injected failures, backed by a
-                // clean surrogate execution, so the observation is always
-                // sound
-                let out = sup.execute_spill(
-                    &rt.engine,
-                    &plan,
-                    &PlanRef::Posp(plan_id),
-                    band,
-                    j,
-                    &reference,
-                    &qa_loc,
-                    budget,
-                    self.refine_bounds,
-                );
-                if out.learned.is_exact() {
-                    know.learn_exact(j, out.learned.value());
-                    learnt_exact = true;
-                    break; // re-derive choices on the same contour
-                } else {
-                    know.learn_bound(j, out.learned.value());
-                }
-            }
-            if !learnt_exact {
-                // half-space pruning: qa lies beyond this contour
-                crate::obs::half_space_prune(self.name(), band, unlearnt.len());
-                band += 1;
-            }
-        }
-        sup.finish(qa, rt.oracle_cost(qa), None)
+        contour_walk(rt, qa, self.name(), self.refine_bounds, sb_list)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aligned::AlignedBound;
     use crate::guarantees::sb_guarantee;
-    use crate::test_support::{example_2d, example_3d};
+    use crate::test_support::{example_2d, example_3d, runtime};
     use crate::trace::ExecMode;
-    use rqp_ess::EssConfig;
-    use rqp_qplan::CostModel;
-
-    fn runtime_2d() -> RobustRuntime<'static> {
-        let (catalog, query) = example_2d();
-        let catalog: &'static _ = Box::leak(Box::new(catalog));
-        let query: &'static _ = Box::leak(Box::new(query));
-        RobustRuntime::compile(
-            catalog,
-            query,
-            CostModel::default(),
-            EssConfig { resolution: 12, min_sel: 1e-6, ..Default::default() },
-        )
-        .unwrap()
-    }
 
     #[test]
     fn completes_everywhere_within_band_adjusted_guarantee() {
-        let rt = runtime_2d();
+        let rt = runtime(example_2d(), 12);
         let sb = SpillBound::new();
         // band-discretized guarantee: 2×(D²+3D) (see DESIGN.md)
         let bound = 2.0 * sb_guarantee(rt.dims());
@@ -223,26 +265,32 @@ mod tests {
 
     #[test]
     fn per_contour_spill_executions_bounded_by_d() {
-        let rt = runtime_2d();
-        let sb = SpillBound::new();
-        let d = rt.dims();
-        for qa in [0, rt.grid().num_cells() / 2, rt.grid().terminus()] {
-            let t = sb.discover(&rt, qa);
-            let mut consecutive_fail = 0usize;
-            let mut prev_band = usize::MAX;
-            for s in &t.steps {
-                if s.band != prev_band {
-                    consecutive_fail = 0;
-                    prev_band = s.band;
-                }
-                if matches!(s.mode, ExecMode::Spill(_)) && !s.completed {
-                    consecutive_fail += 1;
-                    assert!(
-                        consecutive_fail <= d,
-                        "more than D consecutive failed spills on one contour"
-                    );
-                } else {
-                    consecutive_fail = 0;
+        // every cell of both fixtures, for both algorithms of the spill walk
+        let algos: [&dyn Discovery; 2] = [&SpillBound::new(), &AlignedBound::new()];
+        for rt in [runtime(example_2d(), 12), runtime(example_3d(), 7)] {
+            let d = rt.dims();
+            for algo in algos {
+                for qa in rt.grid().cells() {
+                    let t = algo.discover(&rt, qa);
+                    let mut consecutive_fail = 0usize;
+                    let mut prev_band = usize::MAX;
+                    for s in &t.steps {
+                        if s.band != prev_band {
+                            consecutive_fail = 0;
+                            prev_band = s.band;
+                        }
+                        if matches!(s.mode, ExecMode::Spill(_)) && !s.completed {
+                            consecutive_fail += 1;
+                            assert!(
+                                consecutive_fail <= d,
+                                "{} cell {qa}: more than D consecutive failed spills on one \
+                                 contour",
+                                algo.name()
+                            );
+                        } else {
+                            consecutive_fail = 0;
+                        }
+                    }
                 }
             }
         }
@@ -250,7 +298,7 @@ mod tests {
 
     #[test]
     fn learning_never_overshoots_truth() {
-        let rt = runtime_2d();
+        let rt = runtime(example_2d(), 12);
         let sb = SpillBound::with_refined_bounds();
         let grid = rt.grid();
         for qa in (0..grid.num_cells()).step_by(7) {
@@ -271,16 +319,7 @@ mod tests {
 
     #[test]
     fn three_dim_instance_completes_and_retires_epps_in_order() {
-        let (catalog, query) = example_3d();
-        let catalog: &'static _ = Box::leak(Box::new(catalog));
-        let query: &'static _ = Box::leak(Box::new(query));
-        let rt = RobustRuntime::compile(
-            catalog,
-            query,
-            CostModel::default(),
-            EssConfig { resolution: 7, min_sel: 1e-6, ..Default::default() },
-        )
-        .unwrap();
+        let rt = runtime(example_3d(), 7);
         let sb = SpillBound::new();
         let bound = 2.0 * sb_guarantee(3);
         for qa in (0..rt.grid().num_cells()).step_by(11) {
@@ -294,17 +333,8 @@ mod tests {
     fn cost_error_stays_within_inflated_guarantee() {
         // §7: with a δ-bounded cost-model error the MSO guarantee inflates
         // by at most (1+δ)²
-        let (catalog, query) = example_2d();
-        let catalog: &'static _ = Box::leak(Box::new(catalog));
-        let query: &'static _ = Box::leak(Box::new(query));
         for delta in [0.1, 0.3, 0.5] {
-            let mut rt = RobustRuntime::compile(
-                catalog,
-                query,
-                CostModel::default(),
-                EssConfig { resolution: 10, min_sel: 1e-6, ..Default::default() },
-            )
-            .unwrap();
+            let mut rt = runtime(example_2d(), 10);
             rt.set_cost_error(delta);
             let bound = (1.0 + delta) * (1.0 + delta) * 2.0 * sb_guarantee(rt.dims());
             let sb = SpillBound::new();
@@ -323,7 +353,7 @@ mod tests {
     #[test]
     fn empirical_mso_beats_plan_bouquet_on_the_example() {
         use crate::bouquet::PlanBouquet;
-        let rt = runtime_2d();
+        let rt = runtime(example_2d(), 12);
         let sb = SpillBound::new();
         let pb = PlanBouquet::new();
         let (mut mso_sb, mut mso_pb) = (0.0f64, 0.0f64);

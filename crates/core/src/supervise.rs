@@ -165,7 +165,8 @@ impl Supervisor {
 
     /// Whether `plan` is quarantined for the rest of this run.
     pub fn is_quarantined(&self, plan: &PlanNode) -> bool {
-        self.quarantined.contains(&Fingerprint::of(plan).0)
+        // a clean run quarantines nothing: skip fingerprinting the plan
+        !self.quarantined.is_empty() && self.quarantined.contains(&Fingerprint::of(plan).0)
     }
 
     /// Fingerprints of all quarantined plans (for the trace).

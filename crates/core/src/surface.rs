@@ -13,7 +13,7 @@
 
 use crate::aligned::ContourDecision;
 use crate::bouquet::BandPlans;
-use crate::spillbound::{ContourChoice, StateKey};
+use crate::spillbound::{SpillList, StateKey};
 use parking_lot::Mutex;
 use rqp_ess::{Ess, LazyEss};
 use rqp_obs::{global, names, Counter};
@@ -81,8 +81,8 @@ impl std::fmt::Debug for SharedSurface {
     }
 }
 
-/// Contour decisions memoised per surface: SB's per-dimension choices and
-/// AB's partitions keyed by `(band, learnt coordinates)`, and raw PB's
+/// Contour decisions memoised per surface: SB's execution lists and AB's
+/// partitions keyed by `(band, learnt coordinates)`, and raw PB's
 /// per-band execution lists keyed by band. Every decision is a pure
 /// function of the surface and its key, so sessions in any order and on
 /// any thread read the same values a cold memo would compute.
@@ -92,7 +92,7 @@ impl std::fmt::Debug for SharedSurface {
 /// frontier mutex.
 #[derive(Default)]
 pub(crate) struct ContourMemo {
-    pub(crate) sb: Mutex<HashMap<StateKey, Arc<ContourChoice>>>,
+    pub(crate) sb: Mutex<HashMap<StateKey, SpillList>>,
     pub(crate) ab: Mutex<HashMap<StateKey, Arc<ContourDecision>>>,
     pub(crate) pb: Mutex<HashMap<usize, BandPlans>>,
 }

@@ -1,5 +1,11 @@
 #![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+// Unit tests assert exact float results on purpose: exact spill learning
+// returns the true selectivity itself, an expired execution is charged its
+// budget exactly, and replays must be bit-identical.
+#![cfg_attr(
+    test,
+    allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp)
+)]
 
 //! Simulated budgeted and spill-mode plan execution with run-time
 //! selectivity monitoring.

@@ -2,6 +2,8 @@
 //! the self-hosting check: the workspace this linter ships in must itself
 //! be clean.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use rqp_lint::{lint_source, lint_workspace, Rule};
 use std::path::Path;
 

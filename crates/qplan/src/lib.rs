@@ -1,5 +1,10 @@
 #![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+// Unit tests assert exact float results on purpose: a plan context reads
+// back the selectivities it was given, bit for bit.
+#![cfg_attr(
+    test,
+    allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp)
+)]
 
 //! Physical query plans, pipeline decomposition and the PCM cost model.
 //!

@@ -81,6 +81,35 @@ fn traced_sessions_nest_compile_wait_step_and_execution_under_the_session() {
 }
 
 #[test]
+fn every_step_span_sits_under_the_span_of_its_own_band() {
+    let mut spec = String::new();
+    for query in ["3D_Q15", "4D_Q91"] {
+        for algo in ["sb", "ab", "pb"] {
+            spec.push_str(&format!("{query} {algo} x4\n"));
+        }
+    }
+    let report = traced_report(&spec, 4);
+    assert_eq!(report.completed(), 24, "{}", report.render());
+    for r in &report.results {
+        let steps = find(&r.spans, SpanKind::Step);
+        assert!(!steps.is_empty(), "session {} ran no steps?", r.id);
+        for s in steps {
+            let parent = s.parent_id.and_then(|p| r.spans.iter().find(|c| c.span_id == p));
+            let parent = parent.unwrap_or_else(|| panic!("step span without parent"));
+            assert_eq!(parent.kind, SpanKind::Contour, "a step nests under a contour_band span");
+            assert_eq!(parent.name, names::SPAN_CONTOUR_BAND);
+            assert_eq!(
+                parent.attr("band"),
+                s.attr("band"),
+                "session {} ({}): a step is booked to another band's span",
+                r.id,
+                r.algo
+            );
+        }
+    }
+}
+
+#[test]
 fn execution_span_spent_sums_to_the_session_total_cost() {
     let report = traced_report("2D_Q91 sb x2\n3D_Q15 pb x2\n", 4);
     assert_eq!(report.completed(), 4, "{}", report.render());
