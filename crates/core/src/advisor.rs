@@ -88,26 +88,11 @@ pub fn advise(rt: &RobustRuntime<'_>, error_factor: f64) -> Advice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::example_2d;
-    use rqp_ess::EssConfig;
-    use rqp_qplan::CostModel;
-
-    fn runtime() -> RobustRuntime<'static> {
-        let (catalog, query) = example_2d();
-        let catalog: &'static _ = Box::leak(Box::new(catalog));
-        let query: &'static _ = Box::leak(Box::new(query));
-        RobustRuntime::compile(
-            catalog,
-            query,
-            CostModel::default(),
-            EssConfig { resolution: 10, min_sel: 1e-6, ..Default::default() },
-        )
-        .unwrap()
-    }
+    use crate::test_support::{example_2d, runtime};
 
     #[test]
     fn tiny_errors_favour_the_native_optimizer() {
-        let rt = runtime();
+        let rt = runtime(example_2d(), 10);
         let advice = advise(&rt, 1.0);
         // with *no* estimation error the native engine is optimal
         assert!(advice.native_worst <= 1.0 + 1e-9);
@@ -116,7 +101,7 @@ mod tests {
 
     #[test]
     fn large_errors_favour_the_robust_algorithms() {
-        let rt = runtime();
+        let rt = runtime(example_2d(), 10);
         let advice = advise(&rt, 1e5);
         assert!(
             advice.native_worst > advice.sb_worst,
@@ -129,7 +114,7 @@ mod tests {
 
     #[test]
     fn native_worst_grows_with_the_error_factor() {
-        let rt = runtime();
+        let rt = runtime(example_2d(), 10);
         let w1 = native_worst_under_error(&rt, 1.0, 3);
         let w2 = native_worst_under_error(&rt, 100.0, 3);
         let w3 = native_worst_under_error(&rt, 1e4, 3);
@@ -140,7 +125,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 1")]
     fn sub_unit_factor_rejected() {
-        let rt = runtime();
+        let rt = runtime(example_2d(), 10);
         native_worst_under_error(&rt, 0.5, 1);
     }
 }

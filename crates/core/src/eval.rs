@@ -84,26 +84,11 @@ mod tests {
     use super::*;
     use crate::bouquet::PlanBouquet;
     use crate::spillbound::SpillBound;
-    use crate::test_support::example_2d;
-    use rqp_ess::EssConfig;
-    use rqp_qplan::CostModel;
-
-    fn runtime() -> RobustRuntime<'static> {
-        let (catalog, query) = example_2d();
-        let catalog: &'static _ = Box::leak(Box::new(catalog));
-        let query: &'static _ = Box::leak(Box::new(query));
-        RobustRuntime::compile(
-            catalog,
-            query,
-            CostModel::default(),
-            EssConfig { resolution: 10, min_sel: 1e-6, ..Default::default() },
-        )
-        .unwrap()
-    }
+    use crate::test_support::{example_2d, runtime};
 
     #[test]
     fn mso_bounds_aso_and_every_cell() {
-        let rt = runtime();
+        let rt = runtime(example_2d(), 10);
         let sb = SpillBound::new();
         let ev = evaluate(&rt, &sb);
         assert_eq!(ev.subopts.len(), rt.grid().num_cells());
@@ -115,7 +100,7 @@ mod tests {
 
     #[test]
     fn histogram_sums_to_one() {
-        let rt = runtime();
+        let rt = runtime(example_2d(), 10);
         let ev = evaluate(&rt, &PlanBouquet::new());
         let h = ev.histogram(5.0, 10);
         let total: f64 = h.iter().map(|(_, f)| f).sum();
@@ -127,7 +112,7 @@ mod tests {
 
     #[test]
     fn fraction_below_is_monotone() {
-        let rt = runtime();
+        let rt = runtime(example_2d(), 10);
         let ev = evaluate(&rt, &SpillBound::new());
         let f5 = ev.fraction_below(5.0);
         let f10 = ev.fraction_below(10.0);
@@ -137,7 +122,7 @@ mod tests {
 
     #[test]
     fn sampled_evaluation_covers_a_subset() {
-        let rt = runtime();
+        let rt = runtime(example_2d(), 10);
         let full = evaluate(&rt, &SpillBound::new());
         let sampled = evaluate_sampled(&rt, &SpillBound::new(), 7);
         assert!(sampled.subopts.len() < full.subopts.len());

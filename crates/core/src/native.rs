@@ -66,26 +66,11 @@ pub fn native_mso_worst_estimate(rt: &RobustRuntime<'_>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::example_2d;
-    use rqp_ess::EssConfig;
-    use rqp_qplan::CostModel;
-
-    fn runtime() -> RobustRuntime<'static> {
-        let (catalog, query) = example_2d();
-        let catalog: &'static _ = Box::leak(Box::new(catalog));
-        let query: &'static _ = Box::leak(Box::new(query));
-        RobustRuntime::compile(
-            catalog,
-            query,
-            CostModel::default(),
-            EssConfig { resolution: 10, min_sel: 1e-6, ..Default::default() },
-        )
-        .unwrap()
-    }
+    use crate::test_support::{example_2d, runtime};
 
     #[test]
     fn native_subopt_is_at_least_one_everywhere() {
-        let rt = runtime();
+        let rt = runtime(example_2d(), 10);
         let native = NativeOptimizer;
         for qa in rt.grid().cells() {
             let t = native.discover(&rt, qa);
@@ -96,7 +81,7 @@ mod tests {
 
     #[test]
     fn worst_estimate_mso_dominates_fixed_estimate_mso() {
-        let rt = runtime();
+        let rt = runtime(example_2d(), 10);
         let native = NativeOptimizer;
         let fixed =
             rt.grid().cells().map(|qa| native.discover(&rt, qa).subopt()).fold(0.0f64, f64::max);

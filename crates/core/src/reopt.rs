@@ -159,26 +159,11 @@ mod tests {
     use super::*;
     use crate::eval::evaluate;
     use crate::spillbound::SpillBound;
-    use crate::test_support::example_2d;
-    use rqp_ess::EssConfig;
-    use rqp_qplan::CostModel;
-
-    fn runtime() -> RobustRuntime<'static> {
-        let (catalog, query) = example_2d();
-        let catalog: &'static _ = Box::leak(Box::new(catalog));
-        let query: &'static _ = Box::leak(Box::new(query));
-        RobustRuntime::compile(
-            catalog,
-            query,
-            CostModel::default(),
-            EssConfig { resolution: 12, min_sel: 1e-6, ..Default::default() },
-        )
-        .unwrap()
-    }
+    use crate::test_support::{example_2d, runtime};
 
     #[test]
     fn completes_everywhere_with_bounded_rounds() {
-        let rt = runtime();
+        let rt = runtime(example_2d(), 12);
         let reopt = ReOptimizer::default();
         for qa in rt.grid().cells() {
             let t = reopt.discover(&rt, qa);
@@ -194,7 +179,7 @@ mod tests {
 
     #[test]
     fn when_the_estimate_is_right_no_reoptimization_happens() {
-        let rt = runtime();
+        let rt = runtime(example_2d(), 12);
         let reopt = ReOptimizer::default();
         // put qa at (a grid snap of) the estimated location
         let qe = rt.estimated_location();
@@ -210,7 +195,7 @@ mod tests {
     fn reopt_has_no_mso_guarantee_but_sb_does() {
         // the motivating contrast of §8: ReOpt's worst case floats free of
         // any structural bound, SB's does not
-        let rt = runtime();
+        let rt = runtime(example_2d(), 12);
         let reopt_ev = evaluate(&rt, &ReOptimizer::default());
         let sb_ev = evaluate(&rt, &SpillBound::new());
         let sb_bound = 2.0 * crate::guarantees::sb_guarantee(rt.dims());
@@ -223,7 +208,7 @@ mod tests {
 
     #[test]
     fn wider_validity_ranges_mean_fewer_rounds() {
-        let rt = runtime();
+        let rt = runtime(example_2d(), 12);
         let strict = ReOptimizer::new(1.1);
         let loose = ReOptimizer::new(1e12);
         let qa = rt.grid().terminus();
