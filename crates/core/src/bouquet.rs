@@ -23,6 +23,7 @@ use crate::trace::{DiscoveryTrace, PlanRef};
 use crate::Discovery;
 use rqp_catalog::{RqpResult, SelVector};
 use rqp_ess::{anorexic_reduce, Cell, Ess, PlanId, Reduced};
+use rqp_obs::SpanGuard;
 use rqp_qplan::PlanNode;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -159,6 +160,7 @@ impl Discovery for PlanBouquet {
             &mut sup,
             &grid.location(qa),
             0,
+            None,
             &Knowledge::new(grid),
             |band| self.band_plans(rt, band),
             |id| self.plan_node(rt, id),
@@ -173,18 +175,27 @@ impl Discovery for PlanBouquet {
 /// spilling in the 1-D endgame weakens the bound. A plan whose
 /// supervision gave up (or that is quarantined) falls through to the next
 /// one, exactly like a budget expiry; the doubling walk absorbs the skip.
+/// `open` is `from_band`'s span when the caller already opened it; a band
+/// with nothing to run is passed without one.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn bouquet_walk(
     rt: &RobustRuntime<'_>,
     sup: &mut Supervisor,
     qa_loc: &SelVector,
     from_band: usize,
+    mut open: Option<SpanGuard>,
     know: &Knowledge,
     lists: impl Fn(usize) -> BandPlans,
     node: impl Fn(PlanId) -> Arc<PlanNode>,
 ) {
     for band in from_band..rt.num_bands() {
-        let _band_span = sup.band_span(band);
-        for &(plan_id, budget) in lists(band).iter() {
+        let list = lists(band);
+        let _band_span = match open.take() {
+            Some(span) => span,
+            None if list.is_empty() => continue,
+            None => sup.band_span(band),
+        };
+        for &(plan_id, budget) in list.iter() {
             let plan = node(plan_id);
             let plan_ref = PlanRef::Posp(plan_id);
             let Some(out) = sup.execute_full(&rt.engine, &plan, &plan_ref, band, qa_loc, budget)

@@ -18,11 +18,12 @@ pub struct Evaluation {
     pub name: String,
     /// Empirical maximum sub-optimality (Eq. 4).
     pub mso: f64,
-    /// The cell where the maximum occurred.
+    /// The grid cell where the maximum occurred.
     pub worst_cell: Cell,
     /// Average sub-optimality over all cells, uniform weighting (Eq. 8).
     pub aso: f64,
-    /// Per-cell sub-optimalities (cell-index order).
+    /// Per-cell sub-optimalities in cell-index order (of the sampled cells
+    /// only, for [`evaluate_sampled`]).
     pub subopts: Vec<f64>,
 }
 
@@ -51,20 +52,22 @@ impl Evaluation {
 pub fn evaluate(rt: &RobustRuntime<'_>, algo: &dyn Discovery) -> Evaluation {
     let subopts: Vec<f64> =
         rt.grid().cells().into_par_iter().map(|qa| algo.discover(rt, qa).subopt()).collect();
-    summarize(algo.name(), subopts)
+    summarize(algo.name(), subopts, 1)
 }
 
 /// Evaluate over a deterministic subsample of cells (every `stride`-th
 /// cell) — used by the high-dimensional benches where the full grid is
 /// large.
 pub fn evaluate_sampled(rt: &RobustRuntime<'_>, algo: &dyn Discovery, stride: usize) -> Evaluation {
-    let cells: Vec<Cell> = rt.grid().cells().step_by(stride.max(1)).collect();
+    let stride = stride.max(1);
+    let cells: Vec<Cell> = rt.grid().cells().step_by(stride).collect();
     let subopts: Vec<f64> =
         cells.into_par_iter().map(|qa| algo.discover(rt, qa).subopt()).collect();
-    summarize(algo.name(), subopts)
+    summarize(algo.name(), subopts, stride)
 }
 
-fn summarize(name: &str, subopts: Vec<f64>) -> Evaluation {
+/// Summarize sub-optimalities measured at every `stride`-th grid cell.
+fn summarize(name: &str, subopts: Vec<f64>, stride: usize) -> Evaluation {
     let (mut mso, mut worst) = (0.0f64, 0usize);
     let mut sum = 0.0f64;
     for (i, &s) in subopts.iter().enumerate() {
@@ -76,7 +79,7 @@ fn summarize(name: &str, subopts: Vec<f64>) -> Evaluation {
     }
     let aso = sum / subopts.len() as f64;
     crate::obs::record_evaluation(name, mso, aso, subopts.len());
-    Evaluation { name: name.to_string(), mso, worst_cell: worst, aso, subopts }
+    Evaluation { name: name.to_string(), mso, worst_cell: worst * stride, aso, subopts }
 }
 
 #[cfg(test)]
@@ -127,5 +130,7 @@ mod tests {
         let sampled = evaluate_sampled(&rt, &SpillBound::new(), 7);
         assert!(sampled.subopts.len() < full.subopts.len());
         assert!(sampled.mso <= full.mso + 1e-9);
+        // the worst cell is a grid cell, not an index into the sample
+        assert_eq!(full.subopts[sampled.worst_cell].to_bits(), sampled.mso.to_bits());
     }
 }

@@ -127,7 +127,9 @@ pub(crate) fn sb_list(
 /// the new knowledge; when none does, `qa` lies beyond the contour
 /// (half-space pruning) and the walk moves to the next one. With at most
 /// one epp unlearnt (or the contours exhausted) it hands off to the
-/// bouquet endgame over the effective slice (§4.1).
+/// bouquet endgame over the effective slice (§4.1). A contour gets one
+/// `contour_band` span however often its list is re-derived; a contour
+/// with nothing to run gets no span and no prune.
 ///
 /// A quarantined plan is replaced by SpillBound's execution for the same
 /// dimension, retaining the quadratic guarantee's execution shape. For
@@ -146,17 +148,28 @@ pub(crate) fn contour_walk(
     let mut sup = rt.supervisor(name);
     let mut know = Knowledge::new(grid);
     let mut band = 0usize;
+    // The current band's span: it stays open while the walk re-derives
+    // the list on the same contour, and passes to the endgame if that
+    // starts there.
+    let mut band_span = None;
 
-    loop {
+    'walk: loop {
         let unlearnt = know.unlearnt();
         if unlearnt.len() <= 1 || band >= m {
             let lists = |b| effective_plans(rt, b, &know);
-            bouquet_walk(rt, &mut sup, &qa_loc, band.min(m - 1), &know, lists, |id| rt.plan(id));
+            let from = band.min(m - 1);
+            bouquet_walk(rt, &mut sup, &qa_loc, from, band_span, &know, lists, |id| rt.plan(id));
             break;
         }
-        let _band_span = sup.band_span(band);
-        let mut learnt_exact = false;
-        for exec in list(rt, band, &know, &unlearnt).iter() {
+        let execs = list(rt, band, &know, &unlearnt);
+        if execs.is_empty() {
+            // nothing to run on this contour: pass it with no span, no prune
+            band_span = None;
+            band += 1;
+            continue;
+        }
+        band_span.get_or_insert_with(|| sup.band_span(band));
+        for exec in execs.iter() {
             let mut exec = exec.clone();
             let mut node = exec.node(rt);
             if sup.is_quarantined(&node) {
@@ -185,17 +198,14 @@ pub(crate) fn contour_walk(
             );
             if out.learned.is_exact() {
                 know.learn_exact(exec.dim, out.learned.value());
-                learnt_exact = true;
-                break; // re-derive the list on the same contour
-            } else {
-                know.learn_bound(exec.dim, out.learned.value());
+                continue 'walk; // re-derive the list on the same contour
             }
+            know.learn_bound(exec.dim, out.learned.value());
         }
-        if !learnt_exact {
-            // half-space pruning: qa lies beyond this contour
-            crate::obs::half_space_prune(name, band, unlearnt.len());
-            band += 1;
-        }
+        // half-space pruning: qa lies beyond this contour
+        crate::obs::half_space_prune(name, band, unlearnt.len());
+        band_span = None;
+        band += 1;
     }
     sup.finish(qa, rt.oracle_cost(qa), None)
 }

@@ -17,7 +17,7 @@ use rqp_ess::EssConfig;
 use rqp_executor::{FaultInjector, InjectedFault, Seam};
 use rqp_obs::{names, Event, EventSink};
 use rqp_qplan::CostModel;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
 /// The introduction's example query EQ: two error-prone join predicates.
@@ -89,6 +89,12 @@ fn counters(algo: &str) -> [u64; 4] {
     ]
 }
 
+/// Samples in `algo`'s band-latency histogram: one per `contour_band` span.
+fn band_samples(algo: &str) -> u64 {
+    let name = rqp_obs::labeled(names::DISCOVERY_BAND_SECONDS, &[("algo", algo)]);
+    rqp_obs::global().histogram(&name, &rqp_obs::default_latency_buckets()).count()
+}
+
 /// Run one discovery and check that the counters and events it moved
 /// match its trace.
 fn check(algo: &dyn Discovery, rt: &RobustRuntime<'_>, qa: usize, tally: &Tally) -> DiscoveryTrace {
@@ -137,8 +143,15 @@ fn one_discovery_moves_the_counters_its_trace_records() {
     let mut learnt = BTreeMap::new();
     for &algo in &algos {
         for &qa in &cells {
+            let samples = band_samples(algo.name());
             let t = check(algo, &rt, qa, &tally);
             assert!(t.failure.is_none(), "{}: a clean run fails", algo.name());
+            // one contour_band span per band the walk ran steps on; the
+            // single-plan baselines walk no bands
+            let walked: BTreeSet<usize> = t.steps.iter().map(|s| s.band).collect();
+            let want = if matches!(algo.name(), "Native" | "ReOpt") { 0 } else { walked.len() };
+            let moved = band_samples(algo.name()) - samples;
+            assert_eq!(moved, want as u64, "{} at cell {qa}: band-seconds samples", algo.name());
             *learnt.entry(algo.name()).or_insert(0) +=
                 t.steps.iter().filter(|s| s.learned.is_some()).count();
         }

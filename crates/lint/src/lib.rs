@@ -38,7 +38,7 @@
 //! deny-level `bare-allow` violation.
 //!
 //! The lock acquisition graph behind `lock-order` is exportable as
-//! GraphViz DOT via [`lock_graph`] (CLI: `rqp lint --lock-graph <dir>`).
+//! GraphViz DOT via [`lock_graph`] (CLI: `rqp-lint --lock-graph <dir>`).
 
 pub mod lexer;
 pub mod passes;

@@ -6,7 +6,7 @@
 //! * an acquisition while other guards are held adds an edge
 //!   `held → acquired` to the crate's **lock acquisition graph**; a cycle
 //!   in that graph is a potential deadlock (`lock-order`, deny). The graph
-//!   is exportable as DOT via `rqp lint --lock-graph`.
+//!   is exportable as DOT via `rqp-lint --lock-graph`.
 //! * a **blocking call** (`.wait()`, `recv`, `accept`, file/socket IO,
 //!   `sleep`, thread `join()`) while a guard is held stalls every peer of
 //!   that mutex (`guard-across-blocking`, deny) — unless the wait is on

@@ -9,16 +9,18 @@
 //! * `/trace/<session-id>` — the session's causal trace as Chrome
 //!   trace-event JSON (populated once the session finishes)
 //!
-//! The accept loop runs on one background thread with a non-blocking
-//! listener so [`TelemetryServer::stop`] never blocks on a quiet socket.
+//! Connections are served one at a time on a blocking acceptor thread
+//! (the wire host's acceptor type), which [`TelemetryServer::stop`] wakes
+//! with a connection of its own, so stopping never waits on a quiet
+//! socket.
 //! Responses are built whole and written once; every connection is
 //! `Connection: close`, so no keep-alive state exists to leak.
 
-use rqp_catalog::{RqpError, RqpResult};
+use crate::transport::Acceptor;
+use rqp_catalog::RqpResult;
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -70,9 +72,7 @@ pub type HealthSource = Arc<dyn Fn() -> String + Send + Sync>;
 /// The live telemetry endpoint. Dropping (or [`stop`](Self::stop)ping) it
 /// shuts the accept loop down and joins the thread.
 pub struct TelemetryServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl TelemetryServer {
@@ -83,68 +83,29 @@ impl TelemetryServer {
     /// [`READ_TIMEOUT`] before being cut off (a slow-loris guard).
     ///
     /// # Errors
-    /// [`RqpError::Config`] when the address cannot be bound or the spawn
-    /// fails.
+    /// [`rqp_catalog::RqpError::Config`] when the address cannot be bound;
+    /// [`rqp_catalog::RqpError::Internal`] when the spawn fails.
     pub fn start(
         addr: &str,
         traces: Arc<TraceStore>,
         health: Option<HealthSource>,
     ) -> RqpResult<TelemetryServer> {
-        let listener = TcpListener::bind(addr)
-            .map_err(|e| RqpError::Config(format!("telemetry cannot bind {addr}: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| RqpError::Config(format!("telemetry listener setup: {e}")))?;
-        let local = listener
-            .local_addr()
-            .map_err(|e| RqpError::Config(format!("telemetry local addr: {e}")))?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("rqp-telemetry".to_string())
-            .spawn(move || accept_loop(&listener, &stop_flag, &traces, health.as_ref()))
-            .map_err(|e| RqpError::Config(format!("cannot spawn telemetry thread: {e}")))?;
-        Ok(TelemetryServer { addr: local, stop, handle: Some(handle) })
+        let serve = move |stream| handle_connection(stream, &traces, health.as_ref());
+        Ok(TelemetryServer {
+            acceptor: Acceptor::bind(addr, "rqp-telemetry", Arc::default(), serve)?,
+        })
     }
 
     /// The bound address (resolves port 0 to the actual port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.local_addr()
     }
 
-    /// Shut the accept loop down and join its thread.
+    /// Shut the accept loop down and join its thread. A failed stop is
+    /// counted in `rqp_serve_telemetry_errors_total`.
     pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for TelemetryServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    stop: &AtomicBool,
-    traces: &Arc<TraceStore>,
-    health: Option<&HealthSource>,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => handle_connection(stream, traces, health),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            // transient accept errors (aborted handshakes etc.): keep serving
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+        if self.acceptor.stop().is_err() {
+            crate::obs::metrics().telemetry_errors.inc();
         }
     }
 }
@@ -311,5 +272,16 @@ mod tests {
             .expect("numeric Content-Length");
         assert_eq!(len, body.len(), "Content-Length must match the body byte count");
         srv.stop();
+    }
+
+    #[test]
+    fn stop_with_no_request_pending_returns() {
+        let srv = TelemetryServer::start("0.0.0.0:0", Arc::new(TraceStore::new()), None).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            srv.stop();
+            tx.send(()).ok();
+        });
+        rx.recv_timeout(Duration::from_secs(10)).expect("telemetry stop hung");
     }
 }

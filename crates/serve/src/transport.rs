@@ -21,12 +21,17 @@ use crate::session::{
 use crate::wire::{read_frame, write_frame, Frame, WireRead, WireResult, PROTOCOL_VERSION};
 use rqp_catalog::{RqpError, RqpResult};
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long a transport read polls between liveness checks.
+/// Read timeout of a wire connection, on both ends: how long a read
+/// blocks before its loop checks the stop flag (server) or simply reads
+/// again (client). The server flushes finished results only between
+/// reads, so before `bye` this is also its worst-case delivery delay.
 const POLL_TIMEOUT: Duration = Duration::from_millis(200);
 
 /// Cap on a client's wait for the server to finish draining a
@@ -150,20 +155,23 @@ pub fn run_entries(
 /// a client connection; called off the reader threads.
 pub type FrameObserver = Arc<dyn Fn(&Frame) + Send + Sync>;
 
+/// What a connection's reader gathered by the time it stopped.
 #[derive(Default)]
 struct ConnState {
     results: Vec<SessionResult>,
-    rejects: Vec<(usize, usize, usize)>,
-    session_errors: Vec<(usize, String)>,
+    /// Sessions the server refused or failed before they ran.
+    refused: Vec<(usize, SessionOutcome)>,
     stats: Option<RegistryStats>,
     error: Option<String>,
-    done: bool,
 }
 
 struct Conn {
     stream: TcpStream,
-    state: Arc<Mutex<ConnState>>,
-    reader: Option<std::thread::JoinHandle<()>>,
+    /// Returns what the reader gathered, once the server sent its stats
+    /// or the connection failed.
+    reader: JoinHandle<ConnState>,
+    /// Nothing is sent on it: it disconnects when the reader stops.
+    stopped: Receiver<()>,
 }
 
 /// The TCP arm of the seam: one persistent connection per shard,
@@ -232,17 +240,19 @@ impl TcpTransport {
                     addrs.len()
                 )));
             }
-            let state = Arc::new(Mutex::new(ConnState::default()));
             let reader_stream = stream
                 .try_clone()
                 .map_err(|e| RqpError::Config(format!("socket clone {addr}: {e}")))?;
-            let reader_state = Arc::clone(&state);
+            let (stopping, stopped) = std::sync::mpsc::channel::<()>();
             let reader_observer = observer.clone();
             let reader = std::thread::Builder::new()
                 .name(format!("rqp-wire-client-{want_shard}"))
-                .spawn(move || client_reader_loop(reader_stream, &reader_state, reader_observer))
+                .spawn(move || {
+                    let _stopping = stopping;
+                    client_reader_loop(reader_stream, reader_observer)
+                })
                 .map_err(|e| RqpError::Internal(format!("cannot spawn reader: {e}")))?;
-            conns.push(Conn { stream, state, reader: Some(reader) });
+            conns.push(Conn { stream, reader, stopped });
         }
         Ok(TcpTransport {
             conns,
@@ -300,28 +310,16 @@ fn wait_for_hello(stream: &mut TcpStream, addr: &str) -> RqpResult<Frame> {
     }
 }
 
-fn client_reader_loop(
-    mut stream: TcpStream,
-    state: &Arc<Mutex<ConnState>>,
-    observer: Option<FrameObserver>,
-) {
-    // Every guard below is dropped before the next socket read — no lock
-    // is held across blocking IO.
-    fn lock(state: &Mutex<ConnState>) -> std::sync::MutexGuard<'_, ConnState> {
-        state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+/// Read server frames until the stats arrive or the connection fails,
+/// and return what arrived.
+fn client_reader_loop(mut stream: TcpStream, observer: Option<FrameObserver>) -> ConnState {
+    let mut st = ConnState::default();
     loop {
-        // Read first, lock after: no guard is ever held across socket IO.
-        let read = read_frame(&mut stream);
-        match read {
+        match read_frame(&mut stream) {
             Ok(WireRead::Idle) => {}
             Ok(WireRead::Closed) => {
-                let mut st = lock(state);
-                if st.stats.is_none() && st.error.is_none() {
-                    st.error = Some("server closed before sending stats".to_string());
-                }
-                st.done = true;
-                return;
+                st.error.get_or_insert_with(|| "server closed before sending stats".to_string());
+                return st;
             }
             Ok(WireRead::Frame(frame)) => {
                 if let Some(obs) = &observer {
@@ -329,46 +327,34 @@ fn client_reader_loop(
                 }
                 match frame {
                     Frame::Progress { .. } => {}
-                    Frame::Result(w) => {
-                        let decoded = w.into_result();
-                        let mut st = lock(state);
-                        match decoded {
-                            Ok(r) => st.results.push(r),
-                            Err(e) => st.error = Some(e.to_string()),
-                        }
-                    }
-                    Frame::Reject { id, queue_depth, cap } => {
-                        lock(state).rejects.push((id, queue_depth, cap));
-                    }
+                    Frame::Result(w) => match w.into_result() {
+                        Ok(r) => st.results.push(r),
+                        Err(e) => st.error = Some(e.to_string()),
+                    },
+                    // queue depth and cap are carried on the wire; the
+                    // record keeps the outcome
+                    Frame::Reject { id, .. } => st.refused.push((id, SessionOutcome::Rejected)),
                     Frame::Error { id: Some(id), message, .. } => {
-                        lock(state).session_errors.push((id, message));
+                        st.refused.push((id, SessionOutcome::Failed(message)));
                     }
                     Frame::Error { id: None, code, message } => {
-                        let mut st = lock(state);
                         st.error = Some(format!("server error [{code}]: {message}"));
-                        st.done = true;
-                        return;
+                        return st;
                     }
                     Frame::Stats(s) => {
-                        let mut st = lock(state);
                         st.stats = Some(s);
-                        st.done = true;
-                        return;
+                        return st;
                     }
                     other => {
-                        let mut st = lock(state);
                         st.error =
                             Some(format!("unexpected server frame {:?}", frame_name(&other)));
-                        st.done = true;
-                        return;
+                        return st;
                     }
                 }
             }
             Err(e) => {
-                let mut st = lock(state);
                 st.error = Some(e.to_string());
-                st.done = true;
-                return;
+                return st;
             }
         }
     }
@@ -413,49 +399,31 @@ impl Transport for TcpTransport {
             write_frame(&mut conn.stream, &Frame::Bye)?;
         }
         let deadline = Instant::now() + DRAIN_WAIT_CAP;
-        for conn in &mut self.conns {
-            loop {
-                {
-                    let st = conn.state.lock().unwrap_or_else(PoisonError::into_inner);
-                    if st.done {
-                        break;
-                    }
-                }
-                if Instant::now() > deadline {
-                    return Err(RqpError::Internal(
-                        "server did not finish draining within the wait cap".to_string(),
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(10));
+        let mut states = Vec::with_capacity(self.conns.len());
+        for conn in std::mem::take(&mut self.conns) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if let Err(RecvTimeoutError::Timeout) = conn.stopped.recv_timeout(left) {
+                return Err(RqpError::Internal(
+                    "server did not finish draining within the wait cap".to_string(),
+                ));
             }
+            let state = conn.reader.join();
+            states.push(state.map_err(|_| RqpError::Internal("wire reader panicked".to_string()))?);
         }
         let mut results = Vec::new();
         let mut registry = RegistryStats::default();
-        for conn in &mut self.conns {
-            if let Some(handle) = conn.reader.take() {
-                let _ = handle.join();
-            }
-            let mut st = conn.state.lock().unwrap_or_else(PoisonError::into_inner);
+        for mut st in states {
             if let Some(err) = st.error.take() {
                 return Err(RqpError::Internal(err));
             }
             results.append(&mut st.results);
-            for (id, queue_depth, cap) in st.rejects.drain(..) {
+            for (id, outcome) in st.refused {
                 let (query, algo) = self
                     .specs
                     .get(&id)
                     .cloned()
                     .unwrap_or_else(|| (format!("session-{id}"), "unknown".to_string()));
-                let _ = (queue_depth, cap); // carried on the wire; the record keeps the outcome
-                results.push(rejected_result(id, query, algo, SessionOutcome::Rejected));
-            }
-            for (id, message) in st.session_errors.drain(..) {
-                let (query, algo) = self
-                    .specs
-                    .get(&id)
-                    .cloned()
-                    .unwrap_or_else(|| (format!("session-{id}"), "unknown".to_string()));
-                results.push(rejected_result(id, query, algo, SessionOutcome::Failed(message)));
+                results.push(rejected_result(id, query, algo, outcome));
             }
             if let Some(s) = st.stats {
                 registry.compiles += s.compiles;
@@ -477,17 +445,126 @@ impl Transport for TcpTransport {
 
 // ---- TCP server host --------------------------------------------------
 
+/// Pause after a failed `accept` (EMFILE and the like), so a lasting
+/// accept error cannot turn into a hot spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
+/// Cap on [`Acceptor::stop`]'s wake connection.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// A blocking accept loop on a named thread: the one acceptor behind the
+/// wire host and the telemetry endpoint. [`stop`](Acceptor::stop) sets the
+/// stop flag, wakes the parked `accept` with a connection of its own and
+/// joins the thread. The loop checks the flag before it dispatches a
+/// connection, so the wake goes unserved.
+pub(crate) struct Acceptor {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Acceptor {
+    /// Bind `addr` (port 0 picks a free port) and hand every accepted
+    /// connection to `serve` on a thread named `name`, until `stop` is set.
+    ///
+    /// # Errors
+    /// [`RqpError::Config`] when the address cannot be bound;
+    /// [`RqpError::Internal`] when the thread cannot be spawned.
+    pub(crate) fn bind(
+        addr: &str,
+        name: &str,
+        stop: Arc<AtomicBool>,
+        mut serve: impl FnMut(TcpStream) + Send + 'static,
+    ) -> RqpResult<Acceptor> {
+        let listener = TcpListener::bind(addr)
+            .and_then(|l| Ok((l.local_addr()?, l)))
+            .map_err(|e| RqpError::Config(format!("{name} cannot bind {addr}: {e}")));
+        let (local, listener) = listener?;
+        let flag = Arc::clone(&stop);
+        let thread = std::thread::Builder::new()
+            .name(name.to_string())
+            .spawn(move || loop {
+                let accepted = listener.accept();
+                if flag.load(Ordering::SeqCst) {
+                    return;
+                }
+                match accepted {
+                    Ok((stream, _)) => serve(stream),
+                    Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
+                }
+            })
+            .map_err(|e| RqpError::Internal(format!("cannot spawn {name}: {e}")))?;
+        Ok(Acceptor { addr: local, stop, thread: Some(thread) })
+    }
+
+    /// The bound address (resolves port 0 to the actual port).
+    pub(crate) fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stop accepting and join the thread; a second call does nothing.
+    ///
+    /// # Errors
+    /// [`RqpError::Internal`] when the wake connection fails while the
+    /// thread still runs (the thread is then left detached, so `stop`
+    /// never hangs), or when the thread panicked.
+    pub(crate) fn stop(&mut self) -> RqpResult<()> {
+        let Some(thread) = self.thread.take() else {
+            return Ok(());
+        };
+        self.stop.store(true, Ordering::SeqCst);
+        // A listener on 0.0.0.0 or [::] is reached through loopback.
+        let ip = match self.addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            ip => ip,
+        };
+        let wake = SocketAddr::new(ip, self.addr.port());
+        if let Err(e) = TcpStream::connect_timeout(&wake, WAKE_TIMEOUT) {
+            if !thread.is_finished() {
+                return Err(RqpError::Internal(format!("cannot wake the acceptor at {wake}: {e}")));
+            }
+        }
+        thread.join().map_err(|_| RqpError::Internal(format!("the acceptor at {wake} panicked")))
+    }
+}
+
+impl Drop for Acceptor {
+    fn drop(&mut self) {
+        // `stop` is the call that reports a failed wake.
+        self.stop().ok();
+    }
+}
+
+/// Raised by a connection that reads [`Frame::Shutdown`];
+/// [`TcpServeHost::run_until_shutdown`] parks on it.
+#[derive(Default)]
+struct Shutdown {
+    requested: Mutex<bool>,
+    raised: Condvar,
+}
+
+impl Shutdown {
+    fn lock(&self) -> std::sync::MutexGuard<'_, bool> {
+        self.requested.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn raise(&self) {
+        *self.lock() = true;
+        self.raised.notify_all();
+    }
+}
+
 /// A [`Server`] published on a TCP listener: accepts connections, decodes
 /// [`Frame::Session`]s into [`Server::submit_with`] calls, streams
 /// progress/result frames back, and maps admission refusals onto
 /// [`Frame::Reject`]. One host is one registry shard (`--shard K/N`); an
 /// unsharded deployment is the single shard `0/1`.
 pub struct TcpServeHost {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    shutdown_flag: Arc<AtomicBool>,
-    accept: Option<std::thread::JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    acceptor: Acceptor,
+    shutdown: Arc<Shutdown>,
+    /// Live connection threads; finished ones are dropped at each accept.
+    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
     server: Option<Arc<Server>>,
 }
 
@@ -512,55 +589,40 @@ impl TcpServeHost {
         }
         let resolution = config.resolution;
         let server = Arc::new(Server::start(config)?);
-        let listener = TcpListener::bind(addr)
-            .map_err(|e| RqpError::Config(format!("wire cannot bind {addr}: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| RqpError::Config(format!("wire listener setup: {e}")))?;
-        let local =
-            listener.local_addr().map_err(|e| RqpError::Config(format!("wire local addr: {e}")))?;
         let stop = Arc::new(AtomicBool::new(false));
-        let shutdown_flag = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let accept = {
-            let stop = Arc::clone(&stop);
-            let shutdown_flag = Arc::clone(&shutdown_flag);
-            let conns = Arc::clone(&conns);
-            let server = Arc::clone(&server);
-            std::thread::Builder::new()
-                .name("rqp-wire-accept".to_string())
-                .spawn(move || {
-                    accept_loop(
-                        &listener,
-                        &stop,
-                        &shutdown_flag,
-                        &conns,
-                        &server,
-                        (k, n),
-                        resolution,
-                    );
-                })
-                .map_err(|e| RqpError::Internal(format!("cannot spawn accept loop: {e}")))?
+        let shutdown = Arc::new(Shutdown::default());
+        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
+        let serve = {
+            let (server, stop, shutdown, conns) =
+                (Arc::clone(&server), Arc::clone(&stop), Arc::clone(&shutdown), Arc::clone(&conns));
+            move |stream| {
+                let (server, stop, shutdown) =
+                    (Arc::clone(&server), Arc::clone(&stop), Arc::clone(&shutdown));
+                let spawned = std::thread::Builder::new().name("rqp-wire-conn".to_string()).spawn(
+                    move || conn_loop(stream, &server, (k, n), resolution, &stop, &shutdown),
+                );
+                let mut conns = conns.lock().unwrap_or_else(PoisonError::into_inner);
+                conns.retain(|handle| !handle.is_finished());
+                match spawned {
+                    Ok(handle) => conns.push(handle),
+                    // Thread exhaustion: refuse this connection, keep serving.
+                    Err(_) => crate::obs::metrics().wire_frame_errors.inc(),
+                }
+            }
         };
-        Ok(TcpServeHost {
-            addr: local,
-            stop,
-            shutdown_flag,
-            accept: Some(accept),
-            conns,
-            server: Some(server),
-        })
+        let acceptor = Acceptor::bind(addr, "rqp-wire-accept", stop, serve)?;
+        Ok(TcpServeHost { acceptor, shutdown, conns, server: Some(server) })
     }
 
     /// The bound address (resolves port 0 to the actual port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.local_addr()
     }
 
     /// Whether a client asked the whole process to shut down
     /// ([`Frame::Shutdown`]).
     pub fn shutdown_requested(&self) -> bool {
-        self.shutdown_flag.load(Ordering::SeqCst)
+        *self.shutdown.lock()
     }
 
     /// Serve until a client sends [`Frame::Shutdown`], then stop and
@@ -570,9 +632,8 @@ impl TcpServeHost {
     /// # Errors
     /// Propagates [`TcpServeHost::stop`] failures.
     pub fn run_until_shutdown(self) -> RqpResult<ServeReport> {
-        while !self.shutdown_requested() {
-            std::thread::sleep(Duration::from_millis(50));
-        }
+        let requested = self.shutdown.lock();
+        drop(self.shutdown.raised.wait_while(requested, |requested| !*requested));
         self.stop()
     }
 
@@ -580,18 +641,11 @@ impl TcpServeHost {
     /// session, and return the drain report.
     ///
     /// # Errors
-    /// [`RqpError::Internal`] if a connection thread leaked and still
-    /// holds the server (the drain cannot run twice).
+    /// [`RqpError::Internal`] if the acceptor could not be woken, or if a
+    /// connection thread leaked and still holds the server (the drain
+    /// cannot run twice).
     pub fn stop(mut self) -> RqpResult<ServeReport> {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
-        let handles =
-            std::mem::take(&mut *self.conns.lock().unwrap_or_else(PoisonError::into_inner));
-        for handle in handles {
-            let _ = handle.join();
-        }
+        self.halt()?;
         let server = self
             .server
             .take()
@@ -603,71 +657,41 @@ impl TcpServeHost {
             )),
         }
     }
-}
 
-impl Drop for TcpServeHost {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
+    /// Stop the acceptor (which raises the connections' stop flag), then
+    /// join every connection thread.
+    fn halt(&mut self) -> RqpResult<()> {
+        let stopped = self.acceptor.stop();
         let handles =
             std::mem::take(&mut *self.conns.lock().unwrap_or_else(PoisonError::into_inner));
         for handle in handles {
             let _ = handle.join();
         }
+        stopped
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn accept_loop(
-    listener: &TcpListener,
-    stop: &Arc<AtomicBool>,
-    shutdown_flag: &Arc<AtomicBool>,
-    conns: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-    server: &Arc<Server>,
-    shard: (usize, usize),
-    resolution: Option<usize>,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let server = Arc::clone(server);
-                let stop = Arc::clone(stop);
-                let shutdown_flag = Arc::clone(shutdown_flag);
-                let spawned = std::thread::Builder::new().name("rqp-wire-conn".to_string()).spawn(
-                    move || {
-                        conn_loop(stream, &server, shard, resolution, &stop, &shutdown_flag);
-                    },
-                );
-                match spawned {
-                    Ok(handle) => {
-                        conns.lock().unwrap_or_else(PoisonError::into_inner).push(handle);
-                    }
-                    // Thread exhaustion: refuse this connection, keep serving.
-                    Err(_) => crate::obs::metrics().wire_frame_errors.inc(),
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            // transient accept errors (aborted handshakes etc.): keep serving
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
+impl Drop for TcpServeHost {
+    fn drop(&mut self) {
+        // `stop` is the call that reports a failed halt.
+        self.halt().ok();
     }
 }
 
-/// One wire connection, single-threaded by design: the loop alternates
+/// One wire connection, on one thread. Until `bye` the loop alternates
 /// between flushing the session-update channel to the socket and reading
-/// the next client frame (with a short timeout so the stop flag is
-/// honored). No lock is ever held across socket IO.
+/// the next client frame; the read times out after [`POLL_TIMEOUT`] so
+/// the stop flag is honored. After `bye` it reads nothing more: it blocks
+/// on the update channel until every session it admitted has its result
+/// on the wire, then answers with the shard's registry stats. No lock is
+/// ever held across socket IO.
 fn conn_loop(
     mut stream: TcpStream,
-    server: &Arc<Server>,
+    server: &Server,
     (k, n): (usize, usize),
     resolution: Option<usize>,
-    stop: &Arc<AtomicBool>,
-    shutdown_flag: &Arc<AtomicBool>,
+    stop: &AtomicBool,
+    shutdown: &Shutdown,
 ) {
     let m = crate::obs::metrics();
     if stream.set_nodelay(true).is_err()
@@ -683,33 +707,17 @@ fn conn_loop(
     let (tx, rx) = std::sync::mpsc::channel::<SessionUpdate>();
     let mut accepted = 0usize;
     let mut finished = 0usize;
-    let mut bye = false;
     let mut fp_cache: HashMap<String, Option<u64>> = HashMap::new();
     loop {
         // Flush pending live updates (progress + terminal results).
         // try_recv never yields Disconnected: this thread owns `tx`.
         while let Ok(update) = rx.try_recv() {
-            let frame = update_frame(update);
-            let terminal = matches!(frame, Frame::Result(_));
-            if write_frame(&mut stream, &frame).is_err() {
+            if !forward(&mut stream, update, &mut finished) {
                 return;
             }
-            if terminal {
-                finished += 1;
-            }
-        }
-        if bye && finished == accepted {
-            // Everything this connection submitted has its terminal
-            // frame; answer the drain with the shard's registry stats.
-            write_frame(&mut stream, &Frame::Stats(server.registry_stats())).ok();
-            return;
         }
         if stop.load(Ordering::SeqCst) {
             return;
-        }
-        if bye {
-            std::thread::sleep(Duration::from_millis(10));
-            continue;
         }
         match read_frame(&mut stream) {
             Ok(WireRead::Idle) => {}
@@ -757,10 +765,8 @@ fn conn_loop(
                     }
                 }
             }
-            Ok(WireRead::Frame(Frame::Bye)) => bye = true,
-            Ok(WireRead::Frame(Frame::Shutdown)) => {
-                shutdown_flag.store(true, Ordering::SeqCst);
-            }
+            Ok(WireRead::Frame(Frame::Bye)) => break,
+            Ok(WireRead::Frame(Frame::Shutdown)) => shutdown.raise(),
             Ok(WireRead::Frame(other)) => {
                 m.wire_frame_errors.inc();
                 let frame = Frame::Error {
@@ -783,29 +789,46 @@ fn conn_loop(
             }
         }
     }
+    // Drop this loop's sender, so the channel disconnects once no admitted
+    // session can still send.
+    drop(tx);
+    while finished < accepted {
+        let Ok(update) = rx.recv() else { break };
+        if !forward(&mut stream, update, &mut finished) {
+            return;
+        }
+    }
+    write_frame(&mut stream, &Frame::Stats(server.registry_stats())).ok();
+}
+
+/// Write one live update to the socket, counting terminal results in
+/// `finished`; false when the socket failed.
+fn forward(stream: &mut TcpStream, update: SessionUpdate, finished: &mut usize) -> bool {
+    let frame = update_frame(update);
+    let terminal = matches!(frame, Frame::Result(_));
+    if write_frame(stream, &frame).is_err() {
+        return false;
+    }
+    *finished += usize::from(terminal);
+    true
 }
 
 /// A live [`SessionUpdate`] as its wire frame.
 fn update_frame(update: SessionUpdate) -> Frame {
+    let phase = |id, phase: &str, lookup| Frame::Progress {
+        id,
+        phase: phase.to_string(),
+        lookup,
+        step: None,
+        budget_bits: None,
+        spent_bits: None,
+        completed: None,
+    };
     match update {
-        SessionUpdate::Started { id } => Frame::Progress {
-            id,
-            phase: "started".to_string(),
-            lookup: None,
-            step: None,
-            budget_bits: None,
-            spent_bits: None,
-            completed: None,
-        },
-        SessionUpdate::Surface { id, lookup } => Frame::Progress {
-            id,
-            phase: "surface".to_string(),
-            lookup: Some(lookup.label().to_string()),
-            step: None,
-            budget_bits: None,
-            spent_bits: None,
-            completed: None,
-        },
+        SessionUpdate::Started { id } => phase(id, "started", None),
+        SessionUpdate::Surface { id, lookup } => {
+            phase(id, "surface", Some(lookup.label().to_string()))
+        }
         SessionUpdate::Step { id, step, budget, spent, completed } => Frame::Progress {
             id,
             phase: "step".to_string(),
@@ -818,5 +841,54 @@ fn update_frame(update: SessionUpdate) -> Frame {
         SessionUpdate::Finished(result) => {
             Frame::Result(Box::new(WireResult::from_result(&result)))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Run `f` on a thread of its own and fail the test if it has not
+    /// returned within ten seconds.
+    fn returns<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()).ok());
+        rx.recv_timeout(Duration::from_secs(10)).unwrap_or_else(|_| panic!("{what} hung"))
+    }
+
+    fn host(addr: &str) -> (TcpServeHost, Vec<String>) {
+        let host = TcpServeHost::bind(addr, ServeConfig::default(), None).unwrap();
+        let addrs = vec![format!("127.0.0.1:{}", host.local_addr().port())];
+        (host, addrs)
+    }
+
+    #[test]
+    fn stop_returns_with_no_client_on_any_address() {
+        for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let (host, _) = host(addr);
+            let report = returns("stop", move || host.stop()).unwrap();
+            assert!(report.results.is_empty());
+        }
+    }
+
+    #[test]
+    fn stop_returns_with_an_idle_client_connected() {
+        let (host, addrs) = host("127.0.0.1:0");
+        let transport = TcpTransport::connect(&addrs, None).unwrap();
+        returns("stop", move || host.stop()).unwrap();
+        assert!(Box::new(transport).drain().is_err(), "a stopped host sends no stats");
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let (host, addrs) = host("127.0.0.1:0");
+        let cycles = 16;
+        for _ in 0..cycles {
+            let transport = TcpTransport::connect(&addrs, None).unwrap();
+            assert!(Box::new(transport).drain().unwrap().results.is_empty());
+        }
+        let retained = host.conns.lock().unwrap().len();
+        assert!(retained <= 4, "{retained} connection threads retained after {cycles} cycles");
+        host.stop().unwrap();
     }
 }

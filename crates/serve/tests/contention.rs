@@ -4,6 +4,9 @@
 //! byte-identical whether the session runs alone or alongside 16 peers
 //! hammering the same shared registry.
 
+// A test fails by panicking: unwrap, expect and panic are its asserts.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use rqp_catalog::RqpError;
 use rqp_chaos::FaultConfig;
 use rqp_serve::{serve_workload, Lookup, ServeConfig, Server, SessionOutcome, SessionSpec};

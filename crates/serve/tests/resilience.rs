@@ -2,6 +2,9 @@
 //! transition sequences, graceful degradation, the crash-recovery and
 //! chaos-storm drills, and quiet-schedule determinism.
 
+// A test fails by panicking: unwrap, expect and panic are its asserts.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use rqp_chaos::CompileFaultConfig;
 use rqp_serve::registry::BreakerPhase;
 use rqp_serve::{

@@ -4,6 +4,9 @@
 //! session `total_cost`), and the live telemetry endpoint answering
 //! `/metrics` while sessions are still in flight.
 
+// A test fails by panicking: unwrap, expect and panic are its asserts.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use rqp_obs::{chrome_trace_json, names, JsonValue, SpanKind, SpanRecord};
 use rqp_serve::{serve_workload, ServeConfig, Server, SessionSpec};
 use rqp_workloads::parse_session_file;
@@ -19,7 +22,7 @@ fn traced_report(spec: &str, workers: usize) -> rqp_serve::ServeReport {
     .unwrap()
 }
 
-fn find<'a>(spans: &'a [SpanRecord], kind: SpanKind) -> Vec<&'a SpanRecord> {
+fn find(spans: &[SpanRecord], kind: SpanKind) -> Vec<&SpanRecord> {
     spans.iter().filter(|s| s.kind == kind).collect()
 }
 

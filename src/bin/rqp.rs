@@ -46,7 +46,6 @@ fn main() {
         "chaos" => chaos(&flags),
         "serve" => serve(&flags),
         "connect" => connect(&flags),
-        "lint" => lint(&flags),
         "trace-check" => trace_check(&flags),
         other => {
             eprintln!("unknown command {other:?}");
@@ -80,8 +79,6 @@ fn usage() {
          \x20 connect --addr HOST:PORT[,HOST:PORT...] (in shard order)\n\
          \x20         --workload FILE | --query NAME [--sessions K] [--algo sb]\n\
          \x20         [--resolution N] [--stable-out FILE] [--shutdown true]\n\
-         \x20 lint    [--root DIR] [--format text|json] [--deny-warnings true]\n\
-         \x20         [--lock-graph DIR [--dot FILE]]\n\
          \x20 trace-check --file FILE                validate a Chrome trace export"
     );
 }
@@ -770,66 +767,6 @@ fn connect(flags: &HashMap<String, String>) {
 /// it must reparse through the obs JSON codec, carry a `traceEvents`
 /// array, and contain at least one compile span and one single-flight
 /// wait span — the causal shape the trace-smoke CI job asserts.
-/// `rqp lint`: run the workspace invariant linter (see `crates/lint`), or
-/// export a subtree's lock acquisition graph as GraphViz DOT.
-fn lint(flags: &HashMap<String, String>) {
-    use robust_qp::lint as rl;
-    use std::path::Path;
-
-    if let Some(dir) = flags.get("lock-graph") {
-        let graph = rl::lock_graph(Path::new(dir)).unwrap_or_else(|e| {
-            eprintln!("cannot scan {dir}: {e}");
-            exit(2);
-        });
-        let dot = graph.to_dot();
-        match flags.get("dot") {
-            Some(file) => {
-                std::fs::write(file, &dot).unwrap_or_else(|e| {
-                    eprintln!("cannot write {file}: {e}");
-                    exit(2);
-                });
-                eprintln!(
-                    "lock graph of {dir} ({} locks, {} edges) -> {file}",
-                    graph.nodes().len(),
-                    graph.edges.len()
-                );
-            }
-            None => print!("{dot}"),
-        }
-        let cycles = rl::passes::locks::cycle_violations(&graph);
-        if !cycles.is_empty() {
-            for (_, f) in &cycles {
-                eprintln!("{}", f.message);
-            }
-            exit(1);
-        }
-        eprintln!("lock graph is acyclic");
-        return;
-    }
-
-    let root = flags.get("root").map_or(".", String::as_str);
-    let violations = rl::lint_workspace(Path::new(root)).unwrap_or_else(|e| {
-        eprintln!("cannot lint {root}: {e}");
-        exit(2);
-    });
-    let deny_warnings = flags.get("deny-warnings").map(String::as_str) == Some("true");
-    match flags.get("format").map(String::as_str) {
-        Some("json") => print!("{}", rl::render_json(&violations)),
-        _ => {
-            for v in &violations {
-                println!("{v}");
-            }
-        }
-    }
-    let denied =
-        violations.iter().filter(|v| deny_warnings || v.severity == rl::Severity::Deny).count();
-    if denied > 0 {
-        eprintln!("{denied} lint violation(s)");
-        exit(1);
-    }
-    eprintln!("lint clean ({} warning(s))", violations.len() - denied);
-}
-
 fn trace_check(flags: &HashMap<String, String>) {
     use robust_qp::obs::JsonValue;
 

@@ -31,14 +31,13 @@
 //!
 //! The facade re-exports each layer; see the member crates for details:
 //! [`catalog`], [`qplan`], [`optimizer`], [`executor`], [`ess`], [`core`],
-//! [`workloads`], [`obs`], [`chaos`], [`serve`], [`lint`].
+//! [`workloads`], [`obs`], [`chaos`], [`serve`].
 
 pub use rqp_catalog as catalog;
 pub use rqp_chaos as chaos;
 pub use rqp_core as core;
 pub use rqp_ess as ess;
 pub use rqp_executor as executor;
-pub use rqp_lint as lint;
 pub use rqp_obs as obs;
 pub use rqp_optimizer as optimizer;
 pub use rqp_qplan as qplan;
