@@ -46,7 +46,7 @@ test:
 # of the crates whose test targets are clean so far.
 clippy:
 	cargo clippy --workspace -- -D warnings
-	cargo clippy -p rqp-catalog -p rqp-qplan -p rqp-executor -p rqp-ess -p rqp-core -p rqp-workloads -p rqp-lint -p rqp-serve --all-targets -- -D warnings
+	cargo clippy -p rqp-catalog -p rqp-qplan -p rqp-optimizer -p rqp-executor -p rqp-ess -p rqp-core -p rqp-workloads -p rqp-obs -p rqp-chaos -p rqp-lint -p rqp-serve --all-targets -- -D warnings
 
 # The three criterion benches (compile_cache, trace_overhead,
 # compile_lazy); they write BENCH_4.json, BENCH_6.json and BENCH_7.json

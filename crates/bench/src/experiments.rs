@@ -621,7 +621,7 @@ pub fn chaos_sweep_experiment(scale: Scale, cache: Option<&CompileCache>) -> Str
     format!(
         "{}all invariants held (degraded charge factor {:.1}x per logical execution)\n",
         all.render(),
-        rt.retry_policy().degraded_factor()
+        rqp_core::degraded_factor()
     )
 }
 

@@ -16,8 +16,8 @@
 //!    fail structurally — that asymmetry is the point of the baseline.)
 //! 3. **Degraded cost cap** — the bouquet family's accounted cost stays
 //!    below [`degraded_cost_cap`]: per band, at most `D` spill plus
-//!    `density` full executions, each dilated by at most the policy's
-//!    [`degraded_factor`](RetryPolicy::degraded_factor).
+//!    `density` full executions, each dilated by at most the supervisor's
+//!    [`degraded_factor`].
 //!
 //! Quiet (zero-rate) schedules additionally assert the *clean* guarantees
 //! — SpillBound and AlignedBound within the band-adjusted `2·(D²+3D)` —
@@ -27,8 +27,8 @@
 use crate::plan::{FaultConfig, FaultCounts, FaultPlan};
 use rqp_core::invariants::check_trace_accounting;
 use rqp_core::{
-    sb_guarantee, AlignedBound, Discovery, NativeOptimizer, PlanBouquet, ReOptimizer, RetryPolicy,
-    RobustRuntime, SpillBound,
+    degraded_factor, sb_guarantee, AlignedBound, Discovery, NativeOptimizer, PlanBouquet,
+    ReOptimizer, RobustRuntime, SpillBound,
 };
 use rqp_ess::Cell;
 
@@ -53,11 +53,11 @@ pub fn standard_schedules(seed: u64, rate: f64) -> Vec<(&'static str, FaultConfi
 
 /// Upper bound on what a supervised bouquet-family discovery can spend:
 /// per band, `D` spill executions plus the full contour density of
-/// budgeted executions, every one dilated by the retry policy's
-/// worst-case charge factor, at the band's upper cost edge.
-pub fn degraded_cost_cap(rt: &RobustRuntime<'_>, policy: &RetryPolicy) -> f64 {
+/// budgeted executions, every one dilated by the supervisor's worst-case
+/// charge factor, at the band's upper cost edge.
+pub fn degraded_cost_cap(rt: &RobustRuntime<'_>) -> f64 {
     let d = rt.dims() as f64;
-    let factor = policy.degraded_factor();
+    let factor = degraded_factor();
     let mut cap = 0.0;
     for b in 0..rt.num_bands() {
         let density = rt.band_density(b).max(1) as f64;
@@ -185,8 +185,7 @@ pub fn sweep(
     schedules: &[(&'static str, FaultConfig)],
 ) -> Result<ChaosReport, String> {
     let algos = algorithms();
-    let policy = rt.retry_policy();
-    let cap = degraded_cost_cap(rt, &policy);
+    let cap = degraded_cost_cap(rt);
     let clean_sb_bound = 2.0 * sb_guarantee(rt.dims());
     let mut report = ChaosReport::default();
 

@@ -2,6 +2,9 @@
 //! fault schedules, three invariants — termination, honest accounting,
 //! and exact clean-trace reproduction under a zero-fault schedule.
 
+// A test fails by panicking: unwrap, expect and panic are its asserts.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use rqp_chaos::{standard_schedules, sweep, FaultConfig, FaultPlan};
 use rqp_core::invariants::check_trace_accounting;
 use rqp_core::{

@@ -11,7 +11,7 @@
 //! `debug_assert!`. Every check here compiles to a no-op in release
 //! builds, so the hot discovery loops pay nothing in production.
 
-use crate::supervise::RetryPolicy;
+use crate::supervise::degraded_factor;
 use crate::trace::DiscoveryTrace;
 use rqp_ess::{Ess, Ladder};
 
@@ -115,9 +115,9 @@ pub fn check_trace_accounting(trace: &DiscoveryTrace) -> Result<(), String> {
 /// The degraded sub-optimality bound a clean guarantee implies under
 /// supervised fault injection: every logical execution can be re-issued
 /// with backed-off budgets plus one clean last resort, so the clean bound
-/// dilates by exactly [`RetryPolicy::degraded_factor`].
-pub fn chaos_degraded_bound(clean_bound: f64, policy: &RetryPolicy) -> f64 {
-    clean_bound * policy.degraded_factor()
+/// dilates by exactly [`degraded_factor`].
+pub fn chaos_degraded_bound(clean_bound: f64) -> f64 {
+    clean_bound * degraded_factor()
 }
 
 #[cfg(test)]
@@ -178,10 +178,9 @@ mod tests {
 
     #[test]
     fn degraded_bound_dilates_by_the_policy_factor() {
-        let p = RetryPolicy::default();
         let clean = 10.0;
-        assert!((chaos_degraded_bound(clean, &p) - clean * p.degraded_factor()).abs() < 1e-12);
-        assert!(chaos_degraded_bound(clean, &p) >= clean);
+        assert!((chaos_degraded_bound(clean) - clean * degraded_factor()).abs() < 1e-12);
+        assert!(chaos_degraded_bound(clean) >= clean);
     }
 
     #[test]

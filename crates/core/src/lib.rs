@@ -64,7 +64,7 @@ pub use obs::register_metrics;
 pub use reopt::ReOptimizer;
 pub use runtime::RobustRuntime;
 pub use spillbound::SpillBound;
-pub use supervise::{RetryPolicy, Supervisor};
+pub use supervise::{degraded_factor, Supervisor};
 pub use surface::SharedSurface;
 pub use trace::{DiscoveryTrace, ExecMode, PlanRef, Step};
 

@@ -39,9 +39,6 @@ pub struct RobustRuntime<'a> {
     /// admission so run-time discovery never has to re-estimate (and never
     /// has to handle estimation failure).
     qe: SelVector,
-    /// Retry policy every discovery run's [`crate::Supervisor`] starts
-    /// from.
-    retry: crate::supervise::RetryPolicy,
     /// Session deadline threaded into every discovery run's supervisor
     /// (serving tier); [`rqp_obs::Deadline::none`] — the default — never
     /// lapses.
@@ -160,7 +157,6 @@ impl<'a> RobustRuntime<'a> {
             engine,
             surface,
             qe,
-            retry: crate::supervise::RetryPolicy::default(),
             deadline: rqp_obs::Deadline::none(),
         })
     }
@@ -346,21 +342,6 @@ impl<'a> RobustRuntime<'a> {
         self.engine = self.engine.with_injector(injector);
     }
 
-    /// Detach any fault injector from the engine.
-    pub fn clear_fault_injector(&mut self) {
-        self.engine = self.engine.without_injector();
-    }
-
-    /// The retry policy discovery runs supervise executions with.
-    pub fn retry_policy(&self) -> crate::supervise::RetryPolicy {
-        self.retry
-    }
-
-    /// Replace the supervision retry policy.
-    pub fn set_retry_policy(&mut self, policy: crate::supervise::RetryPolicy) {
-        self.retry = policy;
-    }
-
     /// Bound every subsequent discovery run by a session deadline (see
     /// [`crate::Supervisor::with_deadline`]).
     pub fn set_deadline(&mut self, deadline: rqp_obs::Deadline) {
@@ -373,10 +354,10 @@ impl<'a> RobustRuntime<'a> {
         self.deadline
     }
 
-    /// A fresh supervisor for one discovery run: the runtime's retry
-    /// policy and session deadline, the calling thread's tracer.
+    /// A fresh supervisor for one discovery run: the runtime's session
+    /// deadline, the calling thread's tracer.
     pub fn supervisor(&self, algo: &'static str) -> crate::supervise::Supervisor {
-        crate::supervise::Supervisor::new(algo, self.retry).with_deadline(self.deadline)
+        crate::supervise::Supervisor::new(algo).with_deadline(self.deadline)
     }
 }
 

@@ -10,18 +10,18 @@
 //!
 //! 1. charges the sunk work against the running MSO accounting (wasted
 //!    work is never hidden — every attempt becomes a trace [`Step`]),
-//! 2. retries up to [`RetryPolicy::max_retries`] times, multiplying the
-//!    budget by [`RetryPolicy::backoff`] each time (a crashed execution
-//!    gets more room so a transient fault cannot starve it forever),
+//! 2. retries up to [`MAX_RETRIES`] times, multiplying the budget by
+//!    [`BACKOFF`] each time (a crashed execution gets more room so a
+//!    transient fault cannot starve it forever),
 //! 3. quarantines a plan for the rest of the run once it has failed
-//!    [`RetryPolicy::quarantine_after`] times in total, and
+//!    [`QUARANTINE_AFTER`] times in total, and
 //! 4. for spill executions — whose learning the contour walk cannot
 //!    progress without — falls back to one *last-resort* execution on the
 //!    injector-free engine, which is guaranteed sound.
 //!
 //! The degraded MSO bound this implies is the clean bound times
-//! [`RetryPolicy::degraded_factor`]: each logical execution can burn at
-//! most `Σ_{i=0..R} backoff^i` budgets across attempts plus one clean
+//! [`degraded_factor`]: each logical execution can burn at most
+//! `Σ_{i=0..MAX_RETRIES} BACKOFF^i` budgets across attempts plus one clean
 //! budget for the last resort.
 
 use crate::trace::{DiscoveryTrace, ExecMode, PlanRef, Step};
@@ -33,39 +33,29 @@ use rqp_qplan::{Fingerprint, PlanNode};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-/// Bounded-retry policy for supervised executions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Retries per logical execution after the first attempt fails.
-    pub max_retries: u32,
-    /// Budget multiplier applied on each retry (≥ 1; 2.0 mirrors the
-    /// contour cost-doubling discipline).
-    pub backoff: f64,
-    /// Total failures after which a plan is quarantined for the run.
-    pub quarantine_after: u32,
-}
+/// Retries per logical execution after the first attempt fails.
+pub const MAX_RETRIES: u32 = 2;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_retries: 2, backoff: 2.0, quarantine_after: 3 }
-    }
-}
+/// Budget multiplier applied on each retry (2.0 mirrors the contour
+/// cost-doubling discipline).
+pub const BACKOFF: f64 = 2.0;
 
-impl RetryPolicy {
-    /// Worst-case charge multiplier per logical execution relative to its
-    /// clean budget: `Σ_{i=0..max_retries} backoff^i` for the supervised
-    /// attempts, plus one clean budget for a possible last-resort
-    /// execution. Multiply a clean MSO bound by this factor to get the
-    /// degraded bound the chaos harness asserts.
-    pub fn degraded_factor(&self) -> f64 {
-        let mut sum = 0.0;
-        let mut b = 1.0;
-        for _ in 0..=self.max_retries {
-            sum += b;
-            b *= self.backoff;
-        }
-        sum + 1.0
+/// Total failures after which a plan is quarantined for the run.
+pub const QUARANTINE_AFTER: u32 = 3;
+
+/// Worst-case charge multiplier per logical execution relative to its
+/// clean budget: `Σ_{i=0..MAX_RETRIES} BACKOFF^i` for the supervised
+/// attempts, plus one clean budget for a possible last-resort execution.
+/// Multiply a clean MSO bound by this factor to get the degraded bound the
+/// chaos harness asserts.
+pub fn degraded_factor() -> f64 {
+    let mut sum = 0.0;
+    let mut b = 1.0;
+    for _ in 0..=MAX_RETRIES {
+        sum += b;
+        b *= BACKOFF;
     }
+    sum + 1.0
 }
 
 /// Per-run supervision state and the run's ledger.
@@ -79,7 +69,6 @@ impl RetryPolicy {
 /// [`Supervisor::finish`] turns the ledger into the [`DiscoveryTrace`].
 pub struct Supervisor {
     algo: &'static str,
-    policy: RetryPolicy,
     /// Session deadline: once lapsed, the supervisor stops spending the
     /// retry budget (first attempts and last resorts still run, so every
     /// discovery run terminates with honest accounting). The default
@@ -128,10 +117,9 @@ impl Outcome for SpillOutcome {
 
 impl Supervisor {
     /// A fresh supervisor for one discovery run.
-    pub fn new(algo: &'static str, policy: RetryPolicy) -> Self {
+    pub fn new(algo: &'static str) -> Self {
         Supervisor {
             algo,
-            policy,
             deadline: Deadline::none(),
             tracer: rqp_obs::current(),
             steps_total: crate::obs::algo_counter(obs_names::DISCOVERY_STEPS, algo),
@@ -188,7 +176,7 @@ impl Supervisor {
     fn record_failure(&mut self, fp: u64) {
         let n = self.fails.entry(fp).or_insert(0);
         *n += 1;
-        if *n >= self.policy.quarantine_after && self.quarantined.insert(fp) {
+        if *n >= QUARANTINE_AFTER && self.quarantined.insert(fp) {
             crate::obs::plan_quarantined(self.algo, fp);
         }
     }
@@ -198,10 +186,7 @@ impl Supervisor {
     /// is counted here.
     fn retry(&mut self, fp: u64, attempt: u32, budget: f64) -> bool {
         self.record_failure(fp);
-        if self.quarantined.contains(&fp)
-            || attempt >= self.policy.max_retries
-            || self.winding_down()
-        {
+        if self.quarantined.contains(&fp) || attempt >= MAX_RETRIES || self.winding_down() {
             return false;
         }
         crate::obs::supervisor_retry(self.algo, attempt + 1, budget);
@@ -294,7 +279,7 @@ impl Supervisor {
         }
         let _step_span = self.step_span(band, "full");
         let mut b = budget;
-        for attempt in 0..=self.policy.max_retries {
+        for attempt in 0..=MAX_RETRIES {
             let out = self.attempt(band, plan_ref, ExecMode::Full, b, attempt, |b| {
                 engine.execute_budgeted(plan, qa_loc, b)
             });
@@ -304,7 +289,7 @@ impl Supervisor {
             if !self.retry(fp, attempt, b) {
                 break;
             }
-            b *= self.policy.backoff;
+            b *= BACKOFF;
         }
         None
     }
@@ -324,7 +309,7 @@ impl Supervisor {
         crate::obs::last_resort(self.algo);
         let _step_span = self.step_span(band, "last_resort");
         let clean = engine.without_injector();
-        let last = self.policy.max_retries + 1;
+        let last = MAX_RETRIES + 1;
         self.attempt(band, plan_ref, ExecMode::Full, f64::INFINITY, last, |b| {
             clean.execute_budgeted(plan, qa_loc, b)
         });
@@ -366,7 +351,7 @@ impl Supervisor {
         // A lapsed deadline routes straight to the last-resort clean
         // execution below: one sound observation, no budgeted retries.
         if !self.quarantined.contains(&fp) && !self.winding_down() {
-            for attempt in 0..=self.policy.max_retries {
+            for attempt in 0..=MAX_RETRIES {
                 let out = self.attempt(band, plan_ref, mode, b, attempt, |b| run(*engine, b));
                 if !out.failed {
                     return out;
@@ -374,13 +359,13 @@ impl Supervisor {
                 if !self.retry(fp, attempt, b) {
                     break;
                 }
-                b *= self.policy.backoff;
+                b *= BACKOFF;
             }
         }
         // last resort: the clean engine at the base budget, guaranteed
         // sound (no injector, so `failed` cannot be set)
         crate::obs::last_resort(self.algo);
-        let last = self.policy.max_retries + 1;
+        let last = MAX_RETRIES + 1;
         self.attempt(band, plan_ref, mode, budget, last, |b| run(engine.without_injector(), b))
     }
 
@@ -420,17 +405,15 @@ mod tests {
 
     #[test]
     fn degraded_factor_is_geometric_plus_last_resort() {
-        let p = RetryPolicy { max_retries: 2, backoff: 2.0, quarantine_after: 3 };
         // 1 + 2 + 4 attempts + 1 last resort
-        assert!((p.degraded_factor() - 8.0).abs() < 1e-12);
-        let none = RetryPolicy { max_retries: 0, backoff: 2.0, quarantine_after: 1 };
-        assert!((none.degraded_factor() - 2.0).abs() < 1e-12);
+        assert!((degraded_factor() - 8.0).abs() < 1e-12);
     }
 
     #[test]
     fn quarantine_trips_at_the_threshold() {
-        let mut sup =
-            Supervisor::new("test", RetryPolicy { quarantine_after: 2, ..Default::default() });
+        assert_eq!(QUARANTINE_AFTER, 3);
+        let mut sup = Supervisor::new("test");
+        sup.record_failure(42);
         sup.record_failure(42);
         assert!(sup.quarantined().is_empty());
         sup.record_failure(42);
@@ -444,12 +427,12 @@ mod tests {
     fn a_lapsed_deadline_winds_the_supervisor_down() {
         // `core::time::Duration`, not `std::time`: this crate is under the
         // determinism lint; the wall-clock read happens inside rqp_obs.
-        let sup = Supervisor::new("test", RetryPolicy::default())
-            .with_deadline(Deadline::within(core::time::Duration::ZERO));
+        let sup =
+            Supervisor::new("test").with_deadline(Deadline::within(core::time::Duration::ZERO));
         assert!(sup.winding_down(), "a zero-window deadline lapses immediately");
         assert!(sup.winding_down(), "a lapsed deadline stays lapsed");
         // The default supervisor is unbounded: it never winds down.
-        let unbounded = Supervisor::new("test", RetryPolicy::default());
+        let unbounded = Supervisor::new("test");
         assert!(!unbounded.winding_down());
     }
 

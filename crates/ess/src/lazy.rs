@@ -29,9 +29,10 @@
 //! Concurrency: one [`parking_lot::Mutex`] guards the frontier, making
 //! band materialization single-flight — peers that ask for a band already
 //! being compiled block only until *that* band is done. Costing inside a
-//! band is parallelized with rayon; the calling thread participates in its
-//! own `par_iter`, so holding the frontier lock across it cannot deadlock
-//! the pool.
+//! band goes through rayon's `par_iter`; the vendored rayon stub runs it
+//! sequentially on the calling thread (which holds the frontier lock),
+//! and under the real crate the caller participates in its own
+//! `par_iter`, so holding the lock across it cannot deadlock the pool.
 
 use crate::contours::Ladder;
 use crate::grid::{Cell, Grid};
@@ -42,7 +43,7 @@ use parking_lot::Mutex;
 use rayon::prelude::*;
 use rqp_catalog::{Catalog, Query, RqpError, RqpResult};
 use rqp_obs::{JsonValue, Stopwatch};
-use rqp_optimizer::{Optimizer, OptimizerConfig};
+use rqp_optimizer::Optimizer;
 use rqp_qplan::{cost_eq, CostModel, Fingerprint, PlanNode};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -161,9 +162,6 @@ pub struct LazyEss {
     catalog: Arc<Catalog>,
     query: Arc<Query>,
     model: CostModel,
-    /// Tuning of the optimizer the compile was started with; every cell
-    /// is costed under it.
-    tuning: OptimizerConfig,
     grid: Grid,
     /// The contour ladder, anchored at the origin and terminus costs.
     ladder: Ladder,
@@ -183,7 +181,7 @@ impl LazyEss {
     /// Start an anytime compile for the optimizer's query: builds the grid,
     /// costs only the origin and terminus cells (the ladder anchors) and
     /// parks them for the flood. Every later cell is costed with the same
-    /// cost model and optimizer tuning as `optimizer`.
+    /// cost model as `optimizer`.
     ///
     /// # Errors
     /// Returns [`RqpError::Config`] for a bad contour ratio or a
@@ -223,7 +221,6 @@ impl LazyEss {
             catalog: Arc::new(optimizer.catalog().clone()),
             query: Arc::new(optimizer.query().clone()),
             model: optimizer.model(),
-            tuning: optimizer.config(),
             grid,
             ladder: ladder.clone(),
             stride,
@@ -255,10 +252,9 @@ impl LazyEss {
         Ok(this)
     }
 
-    /// An optimizer over this surface's query, tuned like the one the
-    /// compile started with.
+    /// An optimizer over this surface's query and cost model.
     fn optimizer(&self) -> Optimizer<'_> {
-        Optimizer::with_config(&self.catalog, &self.query, self.model, self.tuning)
+        Optimizer::new(&self.catalog, &self.query, self.model)
     }
 
     /// The grid (fully known up front — laziness is per band, not per axis).
@@ -282,11 +278,6 @@ impl LazyEss {
         self.state.lock().slot.iter().filter(|s| s.is_some()).count()
     }
 
-    /// Distinct plans discovered so far.
-    pub fn num_plans_discovered(&self) -> usize {
-        self.state.lock().registry.len()
-    }
-
     /// Materialize every band up to and including `band` (clamped to the
     /// ladder). Single-flight: concurrent callers serialize on the
     /// frontier lock and whoever arrives second finds the bands done.
@@ -295,7 +286,7 @@ impl LazyEss {
     }
 
     /// [`LazyEss::compile_through`], costing cells with `opt` (which must
-    /// plan this surface's query under its cost model and tuning).
+    /// plan this surface's query under its cost model).
     fn compile_through_with(&self, band: usize, opt: &Optimizer<'_>) {
         let target = band.min(self.ladder.num_bands() - 1);
         let mut st = self.state.lock();

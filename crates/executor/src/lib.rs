@@ -183,11 +183,6 @@ impl<'a> Engine<'a> {
         Engine { injector: None, ..self }
     }
 
-    /// Whether a fault injector is attached.
-    pub fn has_injector(&self) -> bool {
-        self.injector.is_some()
-    }
-
     /// The attached fault injector, if any (so a caller rebuilding the
     /// engine — e.g. to change δ — can carry the injector over).
     pub fn injector(&self) -> Option<&'a dyn fault::FaultInjector> {

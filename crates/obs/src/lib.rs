@@ -1,5 +1,8 @@
 #![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(
+    test,
+    allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp)
+)]
 
 //! Observability for robust-qp: metrics, timing spans and a structured
 //! event stream.

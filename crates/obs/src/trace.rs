@@ -16,8 +16,9 @@
 //! ([`install`]/[`current`]) so deep call chains (registry → ess →
 //! supervisor → engine) need no signature changes: each serve worker
 //! installs its session's tracer for the duration of the session; threads
-//! that never install one (e.g. rayon compile workers) see the disabled
-//! tracer.
+//! that never install one (e.g. the workers a real rayon pool would run
+//! compile cells on; the vendored stub runs them on the caller) see the
+//! disabled tracer.
 //!
 //! [`SpanGuard`] subsumes the histogram-feeding [`crate::Timer`]: attach a
 //! histogram with [`SpanGuard::with_histogram`] and the guard observes its

@@ -8,6 +8,9 @@
 //! allocation. The sweeps below are deterministic and exhaustive over
 //! their input families rather than sampled, so failures reproduce.
 
+// A test fails by panicking: unwrap, expect and panic are its asserts.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use rqp_obs::json::{parse, parse_bytes};
 use rqp_obs::JsonValue;
 

@@ -6,28 +6,11 @@ use rqp_qplan::ops::PlanNode;
 use rqp_qplan::pipeline::spill_target;
 use std::collections::BTreeSet;
 
-/// Join-tree shape explored by the DP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinShape {
-    /// All connected partitions of every subset (exhaustive bushy DP).
-    Bushy,
-    /// Only plans whose right input is a single base relation.
-    LeftDeep,
-    /// Bushy up to 9 relations, left-deep beyond (keeps ESS compilation of
-    /// large queries tractable).
-    #[default]
-    Auto,
-}
-
-/// Optimizer tuning knobs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OptimizerConfig {
-    /// Join-tree shape.
-    pub shape: JoinShape,
-    /// Disable the materialized-inner nested-loop operator (it is dominated
-    /// on all but tiny inputs; disabling it speeds enumeration up slightly).
-    pub disable_nest_loop: bool,
-}
+/// The widest query the DP plans bushy (all connected partitions of every
+/// subset); wider queries are planned left-deep (every join's right input
+/// a single base relation), which keeps ESS compilation of large queries
+/// tractable.
+pub const BUSHY_MAX_RELATIONS: usize = 9;
 
 /// The result of an optimizer invocation: the cheapest plan found, its
 /// estimated cost and output cardinality at the injected location.
@@ -47,7 +30,6 @@ pub struct Optimizer<'a> {
     catalog: &'a Catalog,
     query: &'a Query,
     model: CostModel,
-    config: OptimizerConfig,
     /// filter predicates per relation index (position in `query.relations`)
     filters: Vec<Vec<PredId>>,
     /// join edges as (predicate, left relation index, right relation index)
@@ -79,18 +61,8 @@ enum Cand {
 }
 
 impl<'a> Optimizer<'a> {
-    /// Create an optimizer for `query` with default configuration.
+    /// Create an optimizer for `query`.
     pub fn new(catalog: &'a Catalog, query: &'a Query, model: CostModel) -> Self {
-        Self::with_config(catalog, query, model, OptimizerConfig::default())
-    }
-
-    /// Create an optimizer with an explicit configuration.
-    pub fn with_config(
-        catalog: &'a Catalog,
-        query: &'a Query,
-        model: CostModel,
-        config: OptimizerConfig,
-    ) -> Self {
         // Width is enforced with a structured error at Query build/validate
         // time (rqp_catalog::MAX_RELATIONS); by the time an Optimizer is
         // constructed the count fits comfortably in a u32 subset mask. The
@@ -116,7 +88,7 @@ impl<'a> Optimizer<'a> {
             .iter()
             .map(|j| (j.id, rel_index(j.left.rel), rel_index(j.right.rel)))
             .collect();
-        Optimizer { catalog, query, model, config, filters, edges }
+        Optimizer { catalog, query, model, filters, edges }
     }
 
     /// The query this optimizer plans.
@@ -134,11 +106,6 @@ impl<'a> Optimizer<'a> {
         self.model
     }
 
-    /// The tuning knobs in use.
-    pub fn config(&self) -> OptimizerConfig {
-        self.config
-    }
-
     /// Cost an arbitrary plan at a location (convenience wrapper).
     pub fn cost_of(&self, plan: &PlanNode, loc: &SelVector) -> f64 {
         let ctx = PlanCtx::new(self.catalog, self.query, loc);
@@ -146,11 +113,7 @@ impl<'a> Optimizer<'a> {
     }
 
     fn bushy(&self) -> bool {
-        match self.config.shape {
-            JoinShape::Bushy => true,
-            JoinShape::LeftDeep => false,
-            JoinShape::Auto => self.query.relations.len() <= 9,
-        }
+        self.query.relations.len() <= BUSHY_MAX_RELATIONS
     }
 
     /// The cheapest plan for the query at the injected ESS location.
@@ -162,7 +125,7 @@ impl<'a> Optimizer<'a> {
         let ctx = PlanCtx::new(self.catalog, self.query, loc);
         // Query::validate caps the relation count at MAX_RELATIONS (20), so
         // the subset mask always fits a u32 and the DP table tops out at
-        // 2^20 + 1 entries; the clamp mirrors `with_config` so a validation
+        // 2^20 + 1 entries; the clamp mirrors `new` so a validation
         // bypass degrades instead of attempting a 4-billion-entry table.
         let n = self.query.relations.len().clamp(1, rqp_catalog::MAX_RELATIONS);
         let full: u32 = (1u32 << n) - 1;
@@ -343,12 +306,10 @@ impl<'a> Optimizer<'a> {
             push(c, p, Cand::Merge);
 
             // materialized-inner nested loop, both orientations
-            if !self.config.disable_nest_loop {
-                let (c, p) = self.model.nest_loop_cost(l, r, join_sel);
-                push(c, p, Cand::NestLoop { outer_left: true });
-                let (c, p) = self.model.nest_loop_cost(r, l, join_sel);
-                push(c, p, Cand::NestLoop { outer_left: false });
-            }
+            let (c, p) = self.model.nest_loop_cost(l, r, join_sel);
+            push(c, p, Cand::NestLoop { outer_left: true });
+            let (c, p) = self.model.nest_loop_cost(r, l, join_sel);
+            push(c, p, Cand::NestLoop { outer_left: false });
 
             // index nested loop: single-relation side as indexed inner
             for (inner_mask, outer_left) in [(rmask, true), (lmask, false)] {
@@ -636,28 +597,61 @@ mod tests {
         assert!(hi.cost > lo.cost, "terminus must cost more than origin (PCM)");
     }
 
+    /// An `n`-relation chain `t0 - t1 - ... - t{n-1}` joined by key, with
+    /// each end cut down by a selective filter and one many-to-many edge
+    /// in the middle: the cheapest plan reduces both arms before crossing
+    /// that edge, which only a bushy join tree can do.
+    fn chain(n: usize) -> (Catalog, Query) {
+        let mut cb = CatalogBuilder::new();
+        for i in 0..n {
+            cb = cb.relation(
+                RelationBuilder::new(format!("t{i}"), 1_000_000)
+                    .indexed_column("k", 1_000_000, 8)
+                    .column("next", 1_000_000, 8)
+                    .column("g", 10, 8)
+                    .column("f", 1_000, 8)
+                    .build(),
+            );
+        }
+        let catalog = cb.build();
+        let mid = n / 2 - 1;
+        let mut qb = QueryBuilder::new(&catalog, "chain");
+        for i in 0..n {
+            qb = qb.table(&format!("t{i}"));
+        }
+        for i in 0..n - 1 {
+            let (l, r) = (format!("t{i}"), format!("t{}", i + 1));
+            qb =
+                if i == mid { qb.epp_join(&l, "g", &r, "g") } else { qb.join(&l, "next", &r, "k") };
+        }
+        let last = format!("t{}", n - 1);
+        let query = qb.filter("t0", "f", 1e-3).filter(&last, "f", 1e-3).build().unwrap();
+        (catalog, query)
+    }
+
+    /// Whether some join of `plan` has two multi-relation inputs, i.e. the
+    /// plan is not left-deep (an index nested loop's inner is always a base
+    /// relation, so it never counts).
+    fn has_bushy_join(plan: &PlanNode) -> bool {
+        let kids = plan.children();
+        let composite = kids.iter().filter(|c| c.base_relations().len() > 1).count();
+        composite == 2 || kids.iter().any(|c| has_bushy_join(c))
+    }
+
     #[test]
-    fn bushy_never_worse_than_left_deep() {
-        let (catalog, query) = fixture();
-        let model = CostModel::default();
-        let bushy = Optimizer::with_config(
-            &catalog,
-            &query,
-            model,
-            OptimizerConfig { shape: JoinShape::Bushy, ..Default::default() },
+    fn queries_past_the_bushy_limit_plan_left_deep() {
+        let at = |s: f64| SelVector::from_values(&[s]);
+        let (catalog, query) = chain(BUSHY_MAX_RELATIONS);
+        let opt = Optimizer::new(&catalog, &query, CostModel::default());
+        assert!(
+            has_bushy_join(&opt.optimize(&at(1.0)).plan),
+            "at the limit the chain's optimum is bushy"
         );
-        let ld = Optimizer::with_config(
-            &catalog,
-            &query,
-            model,
-            OptimizerConfig { shape: JoinShape::LeftDeep, ..Default::default() },
-        );
-        for loc in [
-            SelVector::from_values(&[1e-6, 1e-3]),
-            SelVector::from_values(&[1e-2, 1e-5]),
-            SelVector::from_values(&[0.3, 0.7]),
-        ] {
-            assert!(bushy.optimize(&loc).cost <= ld.optimize(&loc).cost * (1.0 + 1e-12));
+        let (catalog, query) = chain(BUSHY_MAX_RELATIONS + 1);
+        let opt = Optimizer::new(&catalog, &query, CostModel::default());
+        for s in [1e-6, 1e-3, 1.0] {
+            let plan = opt.optimize(&at(s)).plan;
+            assert!(!has_bushy_join(&plan), "one past the limit plans left-deep at {s}");
         }
     }
 

@@ -12,9 +12,9 @@
 //! (POSP), the search space of all bouquet algorithms (§2.2).
 //!
 //! The optimizer enumerates connected subsets of the join graph bottom-up
-//! (bushy by default, optionally left-deep only), choosing among sequential
-//! and index access paths, and hash / sort-merge / nested-loop / index
-//! nested-loop join operators. Because every plan of a given relation subset
+//! (bushy up to [`BUSHY_MAX_RELATIONS`] relations, left-deep beyond),
+//! choosing among sequential and index access paths, and hash / sort-merge
+//! / nested-loop / index nested-loop join operators. Because every plan of a given relation subset
 //! produces identical output cardinality and width under this cost model,
 //! Bellman's principle of optimality holds exactly and the DP is exact over
 //! its plan space.
@@ -26,5 +26,5 @@
 pub mod dp;
 pub mod obs;
 
-pub use dp::{JoinShape, Optimizer, OptimizerConfig, Planned};
+pub use dp::{Optimizer, Planned, BUSHY_MAX_RELATIONS};
 pub use obs::register_metrics;

@@ -10,12 +10,13 @@
 //! compile (§7's repeated optimizer calls) must be shared, not repeated.
 //! This crate provides:
 //!
-//! * [`EssRegistry`] — a sharded, fingerprint-keyed map of compiled
+//! * [`EssRegistry`] — a fingerprint-keyed map, under one lock, of compiled
 //!   [`rqp_ess::Ess`] surfaces with **single-flight** compilation: N
 //!   simultaneous sessions for one fingerprint trigger exactly one
 //!   compile, peers block on a condvar and share the resulting
-//!   `Arc<Ess>`. Compile failures are cached; an unwinding compile
-//!   publishes a failure instead of wedging its waiters.
+//!   `Arc<Ess>`. A failed compile opens a per-fingerprint circuit
+//!   breaker; an unwinding compile publishes a failure instead of
+//!   wedging its waiters.
 //! * [`Server`] — a bounded admission queue in front of a worker-thread
 //!   pool. Admission is non-blocking: beyond the queue cap,
 //!   [`Server::submit`] returns the structured

@@ -9,9 +9,9 @@
 //! registry guarantees that with a classic single-flight protocol:
 //!
 //! * first session for a fingerprint inserts a `Pending` marker, drops
-//!   the shard lock, and compiles;
-//! * peers arriving mid-compile block on the shard's condvar (counted as
-//!   single-flight waits) — bounded by their session [`Deadline`]: a
+//!   the registry lock, and compiles;
+//! * peers arriving mid-compile block on the registry's condvar (counted
+//!   as single-flight waits) — bounded by their session [`Deadline`]: a
 //!   wedged peer compile costs a waiter at most its own deadline, never
 //!   an unbounded hang;
 //! * the finished surface is published as `Ready` and every waiter
@@ -170,17 +170,6 @@ enum Entry {
     Broken(BreakerEntry),
 }
 
-struct Shard {
-    map: Mutex<HashMap<u64, Entry>>,
-    published: Condvar,
-}
-
-impl Shard {
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Entry>> {
-        self.map.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
 /// Counter snapshot of a registry's lifetime activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegistryStats {
@@ -205,6 +194,23 @@ pub struct RegistryStats {
     pub expired_waits: u64,
     /// Fingerprints currently resident (ready or broken).
     pub entries: usize,
+}
+
+impl std::ops::AddAssign for RegistryStats {
+    /// Field-wise sum, for totals across registries (one per shard
+    /// process).
+    fn add_assign(&mut self, s: RegistryStats) {
+        self.compiles += s.compiles;
+        self.hits += s.hits;
+        self.waits += s.waits;
+        self.disk_hits += s.disk_hits;
+        self.breaker_opens += s.breaker_opens;
+        self.breaker_reprobes += s.breaker_reprobes;
+        self.breaker_closes += s.breaker_closes;
+        self.breaker_refused += s.breaker_refused;
+        self.expired_waits += s.expired_waits;
+        self.entries += s.entries;
+    }
 }
 
 /// The phases a breaker moved through, in order (for drills and tests).
@@ -271,10 +277,16 @@ enum Found {
     Claimed(Claim),
 }
 
-/// A sharded, fingerprint-keyed map of compiled ESS surfaces with
-/// single-flight compilation, circuit breaking and optional persistence.
+/// A fingerprint-keyed map of compiled ESS surfaces with single-flight
+/// compilation, circuit breaking and optional persistence.
+///
+/// One lock guards the map: its critical sections are a `HashMap` probe
+/// or insert plus an `Arc` clone, never a compile, so sessions for
+/// different fingerprints hold it only for that long.
 pub struct EssRegistry {
-    shards: Vec<Shard>,
+    map: Mutex<HashMap<u64, Entry>>,
+    /// Notified whenever an entry is published or the map is wiped.
+    published: Condvar,
     cache: Option<CompileCache>,
     breaker: BreakerConfig,
     injector: Option<Arc<dyn CompileFaultInjector + Send + Sync>>,
@@ -294,16 +306,19 @@ pub struct EssRegistry {
 /// workload must not grow it without bound).
 const MAX_TRANSITIONS: usize = 4096;
 
+impl Default for EssRegistry {
+    fn default() -> Self {
+        EssRegistry::new()
+    }
+}
+
 impl EssRegistry {
-    /// A registry with `shards` independent lock domains (clamped to at
-    /// least 1). Sessions for different fingerprints in different shards
-    /// never contend on a lock.
-    pub fn new(shards: usize) -> EssRegistry {
-        let shards = shards.max(1);
+    /// An empty registry with no disk tier, default breaker tuning and no
+    /// compile-seam injector.
+    pub fn new() -> EssRegistry {
         EssRegistry {
-            shards: (0..shards)
-                .map(|_| Shard { map: Mutex::new(HashMap::new()), published: Condvar::new() })
-                .collect(),
+            map: Mutex::new(HashMap::new()),
+            published: Condvar::new(),
             cache: None,
             breaker: BreakerConfig::default(),
             injector: None,
@@ -345,9 +360,8 @@ impl EssRegistry {
         self
     }
 
-    fn shard(&self, fp: u64) -> &Shard {
-        let n = self.shards.len();
-        &self.shards[(fp % n as u64) as usize]
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Entry>> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn note_transition(&self, fp: u64, phase: BreakerPhase) {
@@ -370,8 +384,7 @@ impl EssRegistry {
     fn publish_broken(&self, fp: u64, prior_failures: u32, error: RqpError) {
         let failures = prior_failures.saturating_add(1);
         let backoff = self.breaker.window(failures);
-        let shard = self.shard(fp);
-        shard.lock().insert(
+        self.lock().insert(
             fp,
             Entry::Broken(BreakerEntry {
                 error,
@@ -380,7 +393,7 @@ impl EssRegistry {
                 probing: false,
             }),
         );
-        shard.published.notify_all();
+        self.published.notify_all();
         self.breaker_opens.fetch_add(1, Ordering::Relaxed);
         metrics().breaker_open.inc();
         self.note_transition(fp, BreakerPhase::Open);
@@ -454,7 +467,7 @@ impl EssRegistry {
     /// The single-flight lookup loop: serve a resident surface, refuse through an open breaker, block on a peer's
     /// in-flight compile bounded by `deadline`, or claim the fingerprint
     /// for this caller (inserting `Pending` / marking the half-open
-    /// probe before releasing the shard lock).
+    /// probe before releasing the registry lock).
     fn resolve(
         &self,
         fp: u64,
@@ -462,8 +475,7 @@ impl EssRegistry {
         wait_sw: &mut Option<rqp_obs::Stopwatch>,
     ) -> RqpResult<Found> {
         let m = metrics();
-        let shard = self.shard(fp);
-        let mut map = shard.lock();
+        let mut map = self.lock();
         let claim = loop {
             match map.get(&fp) {
                 None => break Claim::Fresh,
@@ -502,10 +514,10 @@ impl EssRegistry {
                     // deadline, never an unbounded hang.
                     match deadline.remaining() {
                         None => {
-                            map = shard.published.wait(map).unwrap_or_else(PoisonError::into_inner);
+                            map = self.published.wait(map).unwrap_or_else(PoisonError::into_inner);
                         }
                         Some(left) if left > Duration::ZERO => {
-                            let (guard, _timeout) = shard
+                            let (guard, _timeout) = self
                                 .published
                                 .wait_timeout(map, left)
                                 .unwrap_or_else(PoisonError::into_inner);
@@ -532,7 +544,7 @@ impl EssRegistry {
             }
         };
         // This caller owns the (re)compile: claim the fingerprint (still
-        // under the shard lock), then run outside it so peers of *other*
+        // under the registry lock), then run outside it so peers of *other*
         // fingerprints keep flowing.
         match claim {
             Claim::Fresh => {
@@ -565,12 +577,11 @@ impl EssRegistry {
         self.strike_cache_load(fp);
         let ess = Arc::new(cache.restore(fp)?);
         let surface = SharedSurface::eager(ess);
-        let shard = self.shard(fp);
-        let mut map = shard.lock();
+        let mut map = self.lock();
         guard.armed = false;
         map.insert(fp, Entry::Ready(surface.clone()));
         drop(map);
-        shard.published.notify_all();
+        self.published.notify_all();
         self.disk_hits.fetch_add(1, Ordering::Relaxed);
         metrics().registry_disk_hits.inc();
         if matches!(claim, Claim::Probe { .. }) {
@@ -613,7 +624,6 @@ impl EssRegistry {
                 return Err(e);
             }
         };
-        let shard = self.shard(fp);
         let prior_failures = claim.prior_failures();
         let mut guard = PendingGuard { reg: self, fp, prior_failures, armed: true };
         // Read-through: a fresh fingerprint (or a re-probe after cache
@@ -629,10 +639,8 @@ impl EssRegistry {
         guard.armed = false;
         let out = match result {
             Ok(surface) => {
-                let mut map = shard.lock();
-                map.insert(fp, Entry::Ready(surface.clone()));
-                drop(map);
-                shard.published.notify_all();
+                self.lock().insert(fp, Entry::Ready(surface.clone()));
+                self.published.notify_all();
                 if matches!(claim, Claim::Probe { .. }) {
                     self.close_breaker(fp);
                 }
@@ -673,10 +681,8 @@ impl EssRegistry {
     /// already holding the `Arc` keep pulling bands, but the next lookup
     /// starts fresh.
     pub fn wipe(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-            shard.published.notify_all();
-        }
+        self.lock().clear();
+        self.published.notify_all();
     }
 
     /// Lifetime counters plus the resident-entry count.
@@ -691,7 +697,7 @@ impl EssRegistry {
             breaker_closes: self.breaker_closes.load(Ordering::Relaxed),
             breaker_refused: self.breaker_refused.load(Ordering::Relaxed),
             expired_waits: self.expired_waits.load(Ordering::Relaxed),
-            entries: self.shards.iter().map(|s| s.lock().len()).sum(),
+            entries: self.lock().len(),
         }
     }
 
@@ -699,19 +705,16 @@ impl EssRegistry {
     /// `/healthz` and drills), sorted by fingerprint for stable output.
     pub fn breaker_states(&self) -> Vec<BreakerState> {
         let mut out = Vec::new();
-        for shard in &self.shards {
-            let map = shard.lock();
-            for (&fp, entry) in map.iter() {
-                let (phase, failures) = match entry {
-                    Entry::Ready(_) => (BreakerPhase::Closed, 0),
-                    Entry::Pending => continue,
-                    Entry::Broken(b) => (
-                        if b.probing { BreakerPhase::HalfOpen } else { BreakerPhase::Open },
-                        b.failures,
-                    ),
-                };
-                out.push(BreakerState { fp, phase, failures });
-            }
+        for (&fp, entry) in self.lock().iter() {
+            let (phase, failures) = match entry {
+                Entry::Ready(_) => (BreakerPhase::Closed, 0),
+                Entry::Pending => continue,
+                Entry::Broken(b) => (
+                    if b.probing { BreakerPhase::HalfOpen } else { BreakerPhase::Open },
+                    b.failures,
+                ),
+            };
+            out.push(BreakerState { fp, phase, failures });
         }
         out.sort_by_key(|s| s.fp);
         out
@@ -761,7 +764,7 @@ mod tests {
 
     #[test]
     fn second_lookup_is_a_hit_on_the_same_surface() {
-        let reg = EssRegistry::new(4);
+        let reg = EssRegistry::new();
         let (a, l1) = reg.get_or_compile(42, Deadline::none(), compile_example).unwrap();
         let (b, l2) =
             reg.get_or_compile(42, Deadline::none(), || panic!("must not recompile")).unwrap();
@@ -777,7 +780,7 @@ mod tests {
 
     #[test]
     fn failures_open_the_breaker_and_refuse_within_backoff() {
-        let reg = EssRegistry::new(1).with_breaker(test_breaker());
+        let reg = EssRegistry::new().with_breaker(test_breaker());
         let boom = || Err(RqpError::Config("no".into()));
         assert!(reg.get_or_compile(7, Deadline::none(), boom).is_err());
         // inside the backoff window: refused instantly, no recompile
@@ -794,7 +797,7 @@ mod tests {
 
     #[test]
     fn the_breaker_reprobes_after_backoff_and_closes_on_success() {
-        let reg = EssRegistry::new(1).with_breaker(test_breaker());
+        let reg = EssRegistry::new().with_breaker(test_breaker());
         assert!(reg
             .get_or_compile(11, Deadline::none(), || Err(RqpError::Config("transient".into())))
             .is_err());
@@ -827,7 +830,7 @@ mod tests {
 
     #[test]
     fn a_panicking_compile_opens_the_breaker_instead_of_wedging() {
-        let reg = Arc::new(EssRegistry::new(1).with_breaker(test_breaker()));
+        let reg = Arc::new(EssRegistry::new().with_breaker(test_breaker()));
         let r2 = Arc::clone(&reg);
         let h = std::thread::spawn(move || {
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -849,7 +852,7 @@ mod tests {
 
     #[test]
     fn a_stalled_peer_compile_cannot_block_a_waiter_past_its_deadline() {
-        let reg = Arc::new(EssRegistry::new(1));
+        let reg = Arc::new(EssRegistry::new());
         let r2 = Arc::clone(&reg);
         let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
         let compiler = std::thread::spawn(move || {
@@ -894,7 +897,7 @@ mod tests {
 
     #[test]
     fn lazy_lookups_share_one_anytime_surface() {
-        let reg = EssRegistry::new(2);
+        let reg = EssRegistry::new();
         let (s1, l1) = reg.get_or_compile(21, Deadline::none(), begin_example).unwrap();
         let (s2, l2) =
             reg.get_or_compile(21, Deadline::none(), || panic!("must not begin again")).unwrap();
@@ -916,7 +919,7 @@ mod tests {
     fn only_finished_surfaces_are_written_behind() {
         let dir = std::env::temp_dir().join(format!("rqp-reg-behind-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let reg = EssRegistry::new(1).with_cache(CompileCache::new(&dir).unwrap());
+        let reg = EssRegistry::new().with_cache(CompileCache::new(&dir).unwrap());
         let entries = || std::fs::read_dir(&dir).map_or(0, |d| d.count());
         let (_, l1) = reg.get_or_compile(41, Deadline::none(), begin_example).unwrap();
         assert_eq!(l1, Lookup::Compiled);
@@ -929,7 +932,7 @@ mod tests {
 
     #[test]
     fn wipe_clears_lazy_entries() {
-        let reg = EssRegistry::new(2);
+        let reg = EssRegistry::new();
         let (s, _) = reg.get_or_compile(31, Deadline::none(), begin_example).unwrap();
         assert_eq!(reg.len(), 1);
         reg.wipe();
@@ -949,7 +952,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rqp-reg-wipe-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = CompileCache::new(&dir).unwrap();
-        let reg = EssRegistry::new(2).with_cache(cache);
+        let reg = EssRegistry::new().with_cache(cache);
         let (_, l1) = reg.get_or_compile(3, Deadline::none(), compile_example).unwrap();
         assert_eq!(l1, Lookup::Compiled);
         let compiles_before = reg.stats().compiles;

@@ -29,9 +29,6 @@ use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Lock shards in the shared ESS registry.
-const REGISTRY_SHARDS: usize = 8;
-
 /// Tuning for a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -203,7 +200,7 @@ impl Server {
             return Err(RqpError::Config("serve queue capacity must be at least 1".to_string()));
         }
         crate::obs::register_metrics();
-        let mut registry = EssRegistry::new(REGISTRY_SHARDS).with_breaker(config.breaker);
+        let mut registry = EssRegistry::new().with_breaker(config.breaker);
         if let Some(dir) = &config.cache_dir {
             registry = registry.with_cache(CompileCache::new(dir.clone())?);
         }

@@ -135,6 +135,22 @@ impl SessionOutcome {
             SessionOutcome::Failed(_) => "failed",
         }
     }
+
+    /// Inverse of [`SessionOutcome::label`] (wire decoding): `detail`
+    /// fills the variants that carry a reason and is dropped otherwise.
+    pub fn from_label(label: &str, detail: String) -> Option<SessionOutcome> {
+        Some(match label {
+            "completed" => SessionOutcome::Completed,
+            "rejected" => SessionOutcome::Rejected,
+            "deadline_expired" => SessionOutcome::DeadlineExpired,
+            "over_budget" => SessionOutcome::OverBudget,
+            "breaker_open" => SessionOutcome::BreakerOpen(detail),
+            "degraded" => SessionOutcome::Degraded,
+            "invalid_spec" => SessionOutcome::InvalidSpec(detail),
+            "failed" => SessionOutcome::Failed(detail),
+            _ => return None,
+        })
+    }
 }
 
 /// The record a served session leaves behind.
@@ -230,5 +246,19 @@ mod tests {
         assert_eq!(SessionOutcome::Rejected.label(), "rejected");
         assert_eq!(SessionOutcome::BreakerOpen("x".into()).label(), "breaker_open");
         assert_eq!(SessionOutcome::Degraded.label(), "degraded");
+        let x = || "x".to_string();
+        for outcome in [
+            SessionOutcome::Completed,
+            SessionOutcome::Rejected,
+            SessionOutcome::DeadlineExpired,
+            SessionOutcome::OverBudget,
+            SessionOutcome::BreakerOpen(x()),
+            SessionOutcome::Degraded,
+            SessionOutcome::InvalidSpec(x()),
+            SessionOutcome::Failed(x()),
+        ] {
+            assert_eq!(SessionOutcome::from_label(outcome.label(), x()), Some(outcome));
+        }
+        assert_eq!(SessionOutcome::from_label("unknown", x()), None);
     }
 }

@@ -4,10 +4,10 @@
 //! [`Transport`] is the boundary [`crate::serve_workload`] drives. The
 //! in-proc arm wraps a [`Server`] directly; the TCP arm
 //! ([`TcpTransport`]) speaks the framed protocol in [`crate::wire`] to
-//! one [`TcpServeHost`] per registry shard, routing each session to the
-//! shard that owns its compile fingerprint — the same stable fingerprint
-//! the in-proc [`crate::EssRegistry`] shards its locks by, lifted to the
-//! process level. A workload driven through either arm produces a
+//! one [`TcpServeHost`] per shard process, each with its own
+//! [`crate::EssRegistry`], routing each session to the shard that owns
+//! its compile fingerprint, so every fingerprint compiles in exactly one
+//! process. A workload driven through either arm produces a
 //! [`ServeReport`] whose [`ServeReport::stable_render`] is
 //! byte-identical (given quiet schedules), which is exactly what the
 //! remote smoke test asserts.
@@ -426,16 +426,7 @@ impl Transport for TcpTransport {
                 results.push(rejected_result(id, query, algo, outcome));
             }
             if let Some(s) = st.stats {
-                registry.compiles += s.compiles;
-                registry.hits += s.hits;
-                registry.waits += s.waits;
-                registry.disk_hits += s.disk_hits;
-                registry.breaker_opens += s.breaker_opens;
-                registry.breaker_reprobes += s.breaker_reprobes;
-                registry.breaker_closes += s.breaker_closes;
-                registry.breaker_refused += s.breaker_refused;
-                registry.expired_waits += s.expired_waits;
-                registry.entries += s.entries;
+                registry += s;
             }
         }
         results.sort_by_key(|r| r.id);

@@ -188,19 +188,8 @@ impl WireResult {
     /// [`RqpError::Config`] on an unknown outcome or lookup label.
     pub fn into_result(self) -> RqpResult<SessionResult> {
         let detail = self.detail.unwrap_or_default();
-        let outcome = match self.outcome.as_str() {
-            "completed" => SessionOutcome::Completed,
-            "rejected" => SessionOutcome::Rejected,
-            "deadline_expired" => SessionOutcome::DeadlineExpired,
-            "over_budget" => SessionOutcome::OverBudget,
-            "breaker_open" => SessionOutcome::BreakerOpen(detail),
-            "degraded" => SessionOutcome::Degraded,
-            "invalid_spec" => SessionOutcome::InvalidSpec(detail),
-            "failed" => SessionOutcome::Failed(detail),
-            other => {
-                return Err(RqpError::Config(format!("unknown wire outcome {other:?}")));
-            }
-        };
+        let outcome = SessionOutcome::from_label(&self.outcome, detail)
+            .ok_or_else(|| RqpError::Config(format!("unknown wire outcome {:?}", self.outcome)))?;
         let lookup =
             match self.lookup {
                 None => None,
@@ -691,6 +680,12 @@ mod tests {
         };
         let back = WireResult::from_result(&r).into_result().expect("decode");
         assert_eq!(back.outcome, r.outcome);
+        let mut unknown = WireResult::from_result(&r);
+        unknown.outcome = "vanished".to_string();
+        match unknown.into_result() {
+            Err(RqpError::Config(msg)) => assert_eq!(msg, "unknown wire outcome \"vanished\""),
+            other => panic!("expected a Config error, got {other:?}"),
+        }
     }
 
     #[test]

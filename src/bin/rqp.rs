@@ -394,7 +394,7 @@ fn chaos(flags: &HashMap<String, String>) {
     println!("{}", all.render());
     println!(
         "all invariants held (degraded charge factor {:.1}x per logical execution)",
-        rt.retry_policy().degraded_factor()
+        degraded_factor()
     );
     if let Some(path) = flags.get("metrics") {
         let json = robust_qp::obs::global().to_json_pretty().unwrap_or_else(|e| {

@@ -52,8 +52,8 @@ pub mod prelude {
     };
     pub use rqp_chaos::{FaultConfig, FaultPlan};
     pub use rqp_core::{
-        ab_guarantee_range, alignment_stats, evaluate, pb_guarantee, sb_guarantee, AlignedBound,
-        Discovery, DiscoveryTrace, NativeOptimizer, PlanBouquet, ReOptimizer, RetryPolicy,
+        ab_guarantee_range, alignment_stats, degraded_factor, evaluate, pb_guarantee, sb_guarantee,
+        AlignedBound, Discovery, DiscoveryTrace, NativeOptimizer, PlanBouquet, ReOptimizer,
         RobustRuntime, SpillBound,
     };
     pub use rqp_ess::{CompileCache, CompileMode, Ess, EssConfig, Grid, PlanId, Posp};
